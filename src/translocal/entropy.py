@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import separated, spaces
-from .errors import SingularOrbitError
-from .maps import System, log_derivative_sum, orbit_coords, toral_eigen_data
-from .separated import scan_count, separation_prefix_length
-from .spaces import (CIRCLE, DISK, INTERVAL, SYMBOLIC, TORUS, Ball, Metric,
-                     Point, sample_grid, symbolic_grid)
+from . import separated
+from .errors import BudgetExceededError
+from .maps import System, log_derivative_sums, toral_eigen_data
+from .separated import separation_prefix_length
+from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
+                     sample_grid, symbolic_grid)
 
 DEFAULT_DELTAS = (0.04, 0.02, 0.01)
 
@@ -228,7 +228,7 @@ def _cell_symbolic(sys: System, ball: Ball, n: int, eps: float,
         grid = symbolic_grid(Ball(ball.center, min(ball.radius, 1.0)), res, m,
                              cap=budget)
         capped = False
-    except Exception:
+    except BudgetExceededError:
         grid = symbolic_grid(Ball(ball.center, min(ball.radius, 1.0)),
                              m.beta ** (-int(math.log(budget) / math.log(m.alphabet))),
                              m, cap=budget * 2)
@@ -343,8 +343,6 @@ def translocal_entropy(sys: System, z: Point, omega: float,
     for eps in sched.epsilons:
         curve = separation_curve(sys, ball_for_n, sched.n_values, eps,
                                  sched.budget)
-        if len(curve) < len(sched.n_values):
-            curve = [(n, v, c) for n, v, c in curve]
         uppers.append(_rate_from_curve(curve, "limsup", True, eps))
         lowers.append(_rate_from_curve(curve, "liminf", True, eps))
     return _with_eps_trend(uppers), _with_eps_trend(lowers)
@@ -355,15 +353,8 @@ def lyapunov_exponent(sys: System, x: Point, n: int) -> tuple[float, float]:
     if sys.matrix is not None:
         top = math.log(toral_eigen_data(sys)[0][0])
         return top, top
-    if sys.log_slope_many is None:
-        raise ValueError(f"system {sys.name!r} has no derivative rule")
-    total = 0.0
-    averages = []
-    cur = x
-    for k in range(1, n + 1):
-        total = log_derivative_sum(sys, x, k)
-        averages.append(total / k)
-        _ = cur
+    averages = [total / k for k, total in
+                enumerate(log_derivative_sums(sys, x, n), start=1)]
     tail = averages[max(len(averages) // 2, 1) - 1:]
     return max(tail), min(tail)
 
@@ -377,16 +368,3 @@ def toral_translocal(eigs, omega: float) -> float:
             total += mult * (lm - omega)
     return total
 
-
-def approach_rate(sys: System, u: Point, v: Point, k_max: int,
-                  metric: Metric | None = None):
-    """[(k, -(1/k) log d(f^k u, v))]; exact hits report math.inf."""
-    m = metric or separated.default_metric(sys)
-    out = []
-    cur = u
-    from .maps import evaluate
-    for k in range(1, k_max + 1):
-        cur = evaluate(sys, cur)
-        d = spaces.distance(cur, v, m)
-        out.append((k, math.inf if d == 0.0 else -math.log(d) / k))
-    return out

@@ -8,12 +8,11 @@ starting there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from . import spaces
 from .errors import (HorizonExceededError, SingularOrbitError,
                      SpaceMismatchError)
 from .spaces import CIRCLE, DISK, INTERVAL, SYMBOLIC, TORUS, Point
@@ -90,8 +89,15 @@ def orbit_coords(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
 
 def log_derivative_sum(sys: System, x: Point, n: int) -> float:
     """Chain-rule sum log|Df^n(x)| = sum_{j<n} log|f'(f^j x)|."""
+    sums = log_derivative_sums(sys, x, n)
+    return sums[-1] if sums else 0.0
+
+
+def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
+    """[log|Df^k(x)| for k = 1..n], one orbit pass."""
     if sys.log_slope_many is None:
         raise ValueError(f"system {sys.name!r} has no derivative rule")
+    sums = []
     total = 0.0
     cur = x
     for _ in range(n):
@@ -101,8 +107,9 @@ def log_derivative_sum(sys: System, x: Point, n: int) -> float:
                 raise SingularOrbitError(
                     f"orbit of {x.coords} hits branch endpoint {b}")
         total += float(sys.log_slope_many(np.asarray([c]))[0])
+        sums.append(total)
         cur = evaluate(sys, cur)
-    return total
+    return sums
 
 
 def _differentiable_at(sys: System, b: float) -> bool:
@@ -309,10 +316,11 @@ def get_system(spec_id: str) -> System:
         d = len(rows)
         if any(len(r) != d for r in rows):
             raise ValueError(f"non-square toral matrix in {spec_id!r}")
+        toral = System(name=spec_id, space=TORUS, dim=d,
+                       step_many=_toral_step(rows), matrix=rows)
         top = float(sum(math.log(m) * mult
-                        for m, mult in _eig_groups(rows) if m > 1.0))
-        return System(name=spec_id, space=TORUS, dim=d,
-                      step_many=_toral_step(rows), matrix=rows, h_top=top)
+                        for m, mult in toral_eigen_data(toral) if m > 1.0))
+        return replace(toral, h_top=top)
     if spec_id.startswith("fullshift:"):
         k = int(spec_id.split(":", 1)[1])
         if k < 2:
@@ -323,18 +331,6 @@ def get_system(spec_id: str) -> System:
         _, base_id, r = spec_id.split(":")
         return iterate_system(get_system(base_id), int(r))
     raise KeyError(f"unknown system id {spec_id!r}")
-
-
-def _eig_groups(rows):
-    a = np.asarray(rows, dtype=float)
-    moduli = sorted(np.abs(np.linalg.eigvals(a)), reverse=True)
-    out = []
-    for m in moduli:
-        if out and abs(out[-1][0] - m) < 1e-9:
-            out[-1][1] += 1
-        else:
-            out.append([float(m), 1])
-    return [(m, mult) for m, mult in out]
 
 
 def iterate_system(sys: System, r: int) -> System:
@@ -376,7 +372,7 @@ def iterate_system(sys: System, r: int) -> System:
 
 def catalogue_ids() -> list[str]:
     return sorted(_CATALOGUE) + ["toral:<matrix>", "fullshift:<k>",
-                                 "codedshift:<family>"]
+                                 "iterate:<id>:<r>"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rate
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sum, evaluate,
                    orbit_coords)
-from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
+from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point,
                      distance)
 
 _QMC_POINTS = 1 << 14

@@ -2,10 +2,13 @@
 extraction, the shrinking-metric-ball variant, and the two-sided audit
 against sampled local pressures.
 
-Minimizing over all covers is intractable; weights are minimized over three
-structured families (uniform-n, dyadically refined mixed-n, Vitali-pruned)
-and the best value is reported.  Transition detection uses the sign of the
-log-weight trend across the N-window.
+Minimizing over all covers is intractable; weights are minimized over two
+structured families on the levels N..N+4 and the cheaper value is reported:
+uniform-n covers the whole region at one level, refined splits each ball
+into eight chunks and covers each at its own level.  Neither family contains
+the other: a chunk is charged at least one whole ball and integrated on its
+own grid.  Transition detection uses the sign of the log-weight trend across
+the N-window.
 """
 from __future__ import annotations
 
@@ -15,32 +18,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, spaces
-from .entropy import DEFAULT_SCHEDULE, Schedule, growth_rate
+from .entropy import DEFAULT_SCHEDULE, Schedule, _lstsq_slope, growth_rate
 from .errors import UnbracketedError
-from .maps import Potential, System, ZERO_POTENTIAL, orbit_coords
+from .maps import Potential, System
 from .spaces import CIRCLE, INTERVAL, Ball, Point
 
 _QUAD_POINTS = 4096
-_DEFAULT_DEPTH = 4
-_FAMILIES = ("uniform-n", "refined", "vitali-pruned")
+_LEVELS = 5            # cover levels N .. N+4
+_CHUNKS = 8            # refined-family chunks per ball
 
 
 @dataclass(frozen=True)
 class Region:
-    """Finite union of balls and explicit points."""
+    """Finite union of balls."""
 
     balls: tuple = ()
-    points: tuple = ()
 
     def __post_init__(self):
-        if not self.balls and not self.points:
+        if not self.balls:
             raise ValueError("empty region")
 
     @property
     def space(self) -> str:
-        if self.balls:
-            return self.balls[0].center.space
-        return self.points[0].space
+        return self.balls[0].center.space
 
 
 def whole_circle() -> Region:
@@ -138,119 +138,80 @@ def _metric_extent(omega: float):
 # Cover weights
 # ---------------------------------------------------------------------------
 
+def _best_level(sys: System, pot: Potential, segments, N: int, s: float,
+                ext_of_lam) -> tuple[float, float, list, int]:
+    """(weight, count, centers, n) of the cheapest single level n in N..N+4
+    covering every segment; ties go to the lowest level."""
+    best = None
+    for n in range(N, N + _LEVELS):
+        weight, count, centers = 0.0, 0.0, []
+        for a, b in segments:
+            w, c, cen = _segment_weight(sys, pot, a, b, n, s, ext_of_lam)
+            weight += w
+            count += c
+            centers.extend(cen.tolist())
+        if best is None or weight < best[0]:
+            best = (weight, count, centers, n)
+    return best
+
+
 def _region_weight(sys: System, region: Region, pot: Potential, s: float,
-                   N: int, ext_of_lam, family: str,
-                   depth: int = _DEFAULT_DEPTH) -> tuple[float, float, tuple, tuple]:
-    if region.space not in (CIRCLE, INTERVAL) and region.balls:
+                   N: int, ext_of_lam) -> tuple[str, float, float, tuple, tuple]:
+    """(family, weight, count, centers, levels) of the cheaper cover family;
+    ties go to uniform-n."""
+    if region.space not in (CIRCLE, INTERVAL):
         raise ValueError(
             f"cover construction implemented for 1D regions, got "
             f"{region.space!r}")
-    best = None
-    for n_hi in range(N, N + depth + 1):
-        total_w = 0.0
-        total_c = 0.0
-        centers = []
-        ns = []
-        for ball in region.balls:
-            a, b = _interval_of(ball, region.space)
-            if family == "refined":
-                w, c, cen, nn = _refined_chunks(sys, pot, a, b, N,
-                                                n_hi, s, ext_of_lam)
-                ns.extend(nn)
-            else:
-                w, c, cen = _segment_weight(sys, pot, a, b, n_hi, s,
-                                            ext_of_lam)
-                ns.append(n_hi)
-            total_w += w
-            total_c += c
-            centers.extend(cen.tolist())
-        for p in _pruned_points(region.points, family, ext_of_lam, n_hi):
-            phi = _point_phi(sys, pot, p, n_hi)
-            total_w += math.exp(-s * n_hi + phi)
-            total_c += 1.0
-            centers.append(p.coords[0] if p.coords else 0.0)
-            ns.append(n_hi)
-        if best is None or total_w < best[0]:
-            best = (total_w, total_c, tuple(centers[:64]), tuple(sorted(set(ns))))
-    return best
+    segments = [_interval_of(ball, region.space) for ball in region.balls]
+    w, c, centers, n = _best_level(sys, pot, segments, N, s, ext_of_lam)
+    uniform = ("uniform-n", w, c, tuple(centers[:64]), (n,))
+    weight, count, centers, ns = 0.0, 0.0, [], set()
+    for a, b in segments:
+        edges = np.linspace(a, b, _CHUNKS + 1)
+        ball_w, ball_c = 0.0, 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            w, c, cen, n = _best_level(sys, pot, [(lo, hi)], N, s, ext_of_lam)
+            ball_w += w
+            ball_c += c
+            centers.extend(cen[:8])
+            ns.add(n)
+        weight += ball_w
+        count += ball_c
+    if weight < uniform[1]:
+        return ("refined", weight, count, tuple(centers[:64]),
+                tuple(sorted(ns)))
+    return uniform
 
 
-def _refined_chunks(sys: System, pot: Potential, a: float, b: float,
-                    n_lo: int, n_hi: int, s: float, ext_of_lam):
-    """Dyadic chunks, each with its own best level in [n_lo, n_hi]."""
-    chunks = 8
-    edges = np.linspace(a, b, chunks + 1)
-    weight = 0.0
-    count = 0.0
-    centers = []
-    ns = []
-    for i in range(chunks):
-        best = None
-        for n in range(n_lo, n_hi + 1):
-            w, c, cen = _segment_weight(sys, pot, edges[i], edges[i + 1], n,
-                                        s, ext_of_lam)
-            if best is None or w < best[0]:
-                best = (w, c, cen, n)
-        weight += best[0]
-        count += best[1]
-        centers.extend(best[2].tolist()[:8])
-        ns.append(best[3])
-    return weight, count, np.asarray(centers), ns
-
-
-def _pruned_points(points, family: str, ext_of_lam, n: int):
-    if family != "vitali-pruned" or len(points) < 2 or not points[0].coords:
-        return points
-    # drop points already inside the previous kept ball's footprint
-    ext = float(ext_of_lam(np.zeros(1), n)[0])
-    kept = []
-    for p in sorted(points, key=lambda q: q.coords[0]):
-        if not kept or abs(p.coords[0] - kept[-1].coords[0]) > ext / 2:
-            kept.append(p)
-    return tuple(kept)
-
-
-def _point_phi(sys: System, pot: Potential, p: Point, n: int) -> float:
-    from .maps import birkhoff_sum
-    return birkhoff_sum(pot, sys, p, n)
+def _cover_weight(sys: System, region: Region, pot: Potential, s: float,
+                  N: int, ext_of_lam, r: float | None,
+                  omega: float | None) -> CoverWeight:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    family, w, c, centers, ns = _region_weight(sys, region, pot, s, N,
+                                               ext_of_lam)
+    return CoverWeight(w, s, r, omega, N, pot.kind, family, c, ns, centers)
 
 
 def cover_weight(sys: System, region: Region, pot: Potential, s: float,
-                 r: float, N: int, family: str | None = None,
-                 depth: int = _DEFAULT_DEPTH) -> CoverWeight:
-    """Minimal weighted Bowen-ball cover sum over the implemented families."""
+                 r: float, N: int) -> CoverWeight:
+    """Weighted Bowen-ball cover sum, minimized over the two cover families
+    on levels N..N+4: uniform-n (one level for the whole region) and
+    refined (eight chunks per ball, each at its own level)."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    fams = (family,) if family else _FAMILIES
-    best = None
-    for fam in fams:
-        w, c, centers, ns = _region_weight(sys, region, pot, s, N,
-                                           _bowen_extent(r), fam, depth)
-        if best is None or w < best.value:
-            best = CoverWeight(w, s, r, None, N, pot.kind, fam, c, ns, centers)
-    return best
+    return _cover_weight(sys, region, pot, s, N, _bowen_extent(r), r, None)
 
 
 def translocal_cover_weight(sys: System, region: Region, pot: Potential,
-                            s: float, omega: float, N: int,
-                            family: str | None = None,
-                            depth: int = _DEFAULT_DEPTH) -> CoverWeight:
-    """Cover sum with metric balls of radius exp(-omega * n_j)."""
+                            s: float, omega: float, N: int) -> CoverWeight:
+    """Cover sum with metric balls of radius exp(-omega * n_j), minimized
+    as in `cover_weight`."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    fams = (family,) if family else _FAMILIES
-    best = None
-    for fam in fams:
-        w, c, centers, ns = _region_weight(sys, region, pot, s, N,
-                                           _metric_extent(omega), fam, depth)
-        if best is None or w < best.value:
-            best = CoverWeight(w, s, None, omega, N, pot.kind, fam, c, ns,
-                               centers)
-    return best
+    return _cover_weight(sys, region, pot, s, N, _metric_extent(omega),
+                         None, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +224,7 @@ def _log_weight_trend(weights, variant: str) -> float:
         return growth_rate(data, "limsup").value
     if variant == "translocal-lower":
         return growth_rate(data, "liminf").value
-    ns = np.array([n for n, _ in data], dtype=float)
-    ys = np.array([v for _, v in data])
-    a = np.stack([ns, np.ones_like(ns)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(a, ys, rcond=None)
-    return float(coef[0])
+    return _lstsq_slope(data)[0]
 
 
 def critical_exponent(sys: System, region: Region, pot: Potential,
@@ -338,7 +295,7 @@ class AuditReport:
 
 
 def _region_samples(region: Region, count: int):
-    pts = list(region.points)
+    pts = []
     for ball in region.balls:
         space = ball.center.space
         c = ball.center.coords[0]

@@ -16,7 +16,7 @@ Symbolic samples are counted exactly via distinct-prefix counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,8 @@ def separated_count(q: SeparationQuery) -> SeparationResult:
     warning = _resolution_warning(q)
     sorted_1d = isinstance(q.sample, Grid) and q.sample.sorted_1d
     if sorted_1d and coords.shape[0] > _PAIRWISE_LIMIT:
-        count, evals = scan_count(q.system, coords, q.n, q.eps,
-                                  strict=q.strict)
+        count, evals, _ = variation_count(q.system, coords, q.n, q.eps,
+                                          strict=q.strict)
         return SeparationResult(count, "greedy-scan", evals, warning)
     count, evals = pairwise_count(q.system, coords, q.n, q.eps,
                                   strict=q.strict)
@@ -166,15 +166,7 @@ def pairwise_count(sys: System, coords: np.ndarray, n: int, eps: float,
     admitted = np.empty((0, n, orbits.shape[2]))
     for row in orbits:
         if admitted.shape[0]:
-            diff = np.abs(admitted - row[None, :, :])
-            if sys.space in (CIRCLE, TORUS):
-                diff = diff % 1.0
-                diff = np.minimum(diff, 1.0 - diff)
-                d = diff.max(axis=(1, 2))
-            elif sys.space == DISK:
-                d = np.sqrt((diff ** 2).sum(axis=2)).max(axis=1)
-            else:
-                d = diff.max(axis=(1, 2))
+            d = _bowen_many(sys.space, admitted, row)
             ok = (d > eps).all() if strict else (d >= eps).all()
             if not ok:
                 continue
@@ -182,10 +174,12 @@ def pairwise_count(sys: System, coords: np.ndarray, n: int, eps: float,
     return admitted.shape[0], evals
 
 
-def scan_count(sys: System, coords: np.ndarray, n: int, eps: float,
-               strict: bool = True, wraparound: bool | None = None
-               ) -> tuple[int, int]:
-    """Variation-scan greedy for sorted 1D samples.
+def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
+                    strict: bool = True, wraparound: bool | None = None
+                    ) -> tuple[int, int, float]:
+    """Variation-scan greedy for sorted 1D samples, plus the share of image
+    variation near the folding scale (large share means the sample
+    undersamples the image and the count is unreliable).
 
     For expanding maps the Bowen distance of nearby ordered points is the
     accumulated time-(n-1) image variation, so the greedy walk is a sequence
@@ -193,16 +187,6 @@ def scan_count(sys: System, coords: np.ndarray, n: int, eps: float,
     overcount by one point per fold, a vanishing fraction at the default
     resolutions.
     """
-    count, evals, _ = variation_count(sys, coords, n, eps, strict, wraparound)
-    return count, evals
-
-
-def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
-                    strict: bool = True, wraparound: bool | None = None
-                    ) -> tuple[int, int, float]:
-    """Greedy count plus the share of image variation near the folding
-    scale (large share means the sample undersamples the image and the
-    count is unreliable)."""
     coords = np.atleast_2d(coords)
     total = coords.shape[0]
     if total == 1:

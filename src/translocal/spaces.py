@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class Point:
     space: str
     coords: tuple = ()
     word: tuple = ()
-
-    def symbol_at(self, i: int) -> int:
-        if not 0 <= i < len(self.word):
-            raise IndexError(f"symbol index {i} beyond horizon {len(self.word)}")
-        return self.word[i]
 
 
 def circle(x: float) -> Point:
@@ -148,8 +143,7 @@ class Grid:
     """Deterministic finite surrogate for a ball.
 
     `coords` is an (N, d) float array for numeric spaces; `words` a list of
-    symbol tuples for symbolic spaces.  `points` materializes Point objects
-    (meant for small grids and tests; kernels work on the arrays directly).
+    symbol tuples for symbolic spaces.
     """
 
     ball: Ball
@@ -162,13 +156,6 @@ class Grid:
         if self.coords is not None:
             return self.coords.shape[0]
         return len(self.words)
-
-    @property
-    def points(self) -> list:
-        space = self.ball.center.space
-        if space == SYMBOLIC:
-            return [Point(SYMBOLIC, word=w) for w in self.words]
-        return [Point(space, tuple(row)) for row in self.coords]
 
 
 def _axis_offsets(radius: float, resolution: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import (BudgetExceededError, HorizonExceededError,
                      NoPositiveRootError)
-from .spaces import Point, SYMBOLIC, word
+from .spaces import Point, word
 
 _UVW_CAP = 1_000_000
 _MAX_POSITIONS = 200_000
@@ -194,16 +194,10 @@ def _position_table(fam: CodeWordFamily):
     return words
 
 
-def coded_language_count(fam: CodeWordFamily, n: int) -> int:
-    """Number of admissible words of length n: subwords of free
-    concatenations of the code words, counted on a determinized automaton
-    over in-word positions."""
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    if n == 0:
-        return 1
+def _automaton(fam: CodeWordFamily):
+    """Start state and cached transition of the determinized automaton over
+    in-word positions (k, i) of the code words."""
     words = _position_table(fam)
-    alphabet = fam.alphabet
     starts = frozenset((k, i) for k, w in enumerate(words)
                        for i in range(len(w)))
 
@@ -218,6 +212,20 @@ def coded_language_count(fam: CodeWordFamily, n: int) -> int:
             else:
                 nxt.update((k2, 0) for k2 in range(len(words)))
         return frozenset(nxt)
+
+    return starts, step
+
+
+def coded_language_count(fam: CodeWordFamily, n: int) -> int:
+    """Number of admissible words of length n: subwords of free
+    concatenations of the code words, counted on a determinized automaton
+    over in-word positions."""
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    if n == 0:
+        return 1
+    starts, step = _automaton(fam)
+    alphabet = fam.alphabet
 
     @lru_cache(maxsize=None)
     def count(state: frozenset, m: int) -> int:
@@ -235,19 +243,9 @@ def coded_language_count(fam: CodeWordFamily, n: int) -> int:
 
 def language_membership(fam: CodeWordFamily, wrd) -> bool:
     """Whether a word appears in some free concatenation of code words."""
-    words = _position_table(fam)
-    state = frozenset((k, i) for k, w in enumerate(words)
-                      for i in range(len(w)))
+    state, step = _automaton(fam)
     for symbol in wrd:
-        nxt = set()
-        for k, i in state:
-            if words[k][i] != symbol:
-                continue
-            if i + 1 < len(words[k]):
-                nxt.add((k, i + 1))
-            else:
-                nxt.update((k2, 0) for k2 in range(len(words)))
-        state = frozenset(nxt)
+        state = step(state, symbol)
         if not state:
             return False
     return True

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from translocal import cli
+from translocal import cli, maps
 
 
 def run_cli(args):
@@ -16,6 +16,22 @@ def test_list_names_all_catalogue_maps(capsys):
     out = capsys.readouterr().out
     for name in ("tripling", "pomeau-manneville", "staircase"):
         assert name in out
+
+
+EXAMPLE_PARAMETERS = {"<matrix>": "2,0;0,3", "<k>": "3", "<id>": "g3branch",
+                      "<r>": "2"}
+
+
+def test_every_listed_system_id_resolves(capsys):
+    assert run_cli(["list"]) == 0
+    out = capsys.readouterr().out
+    listed = out.split("systems:\n")[1].split("measures:\n")[0].split()
+    assert "iterate:<id>:<r>" in listed
+    for sid in listed:
+        for placeholder, example in EXAMPLE_PARAMETERS.items():
+            sid = sid.replace(placeholder, example)
+        assert "<" not in sid
+        assert maps.get_system(sid).name
 
 
 def write_config(path, text):

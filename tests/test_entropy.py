@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from translocal.entropy import (DEFAULT_SCHEDULE, Schedule, growth_rate,
-                                lyapunov_exponent, restricted_entropy,
-                                toral_translocal, translocal_entropy,
-                                yz_entropy_function)
-from translocal.maps import get_system, toral_eigen_data
-from translocal.spaces import Ball, circle, interval
+from translocal import entropy
+from translocal.entropy import (DEFAULT_SCHEDULE, Schedule, cell_log_count,
+                                growth_rate, lyapunov_exponent,
+                                restricted_entropy, toral_translocal,
+                                translocal_entropy, yz_entropy_function)
+from translocal.maps import get_system, log_derivative_sum, toral_eigen_data
+from translocal.spaces import Ball, circle, interval, word
 
 LOG3 = math.log(3.0)
 
@@ -81,6 +82,14 @@ def test_lyapunov_tripling_constant():
     assert lo == pytest.approx(LOG3, abs=1e-9)
 
 
+def test_lyapunov_is_the_tail_of_running_averages():
+    sys = get_system("g3branch")
+    x = circle(0.3141)
+    averages = [log_derivative_sum(sys, x, k) / k for k in range(1, 31)]
+    tail = averages[14:]
+    assert lyapunov_exponent(sys, x, 30) == (max(tail), min(tail))
+
+
 def test_toral_translocal_closed_form():
     eigs = toral_eigen_data(get_system("cat"))
     top = math.log(eigs[0][0])
@@ -93,3 +102,29 @@ def test_translocal_rejects_negative_omega():
     sys = get_system("tripling")
     with pytest.raises(ValueError):
         translocal_entropy(sys, circle(0.1), -0.2)
+
+
+def test_symbolic_cell_over_budget_is_capped():
+    sys = get_system("fullshift:2")
+    ball = Ball(word([0] * 24), 1.0)
+    logc, capped = cell_log_count(sys, ball, 10, 0.01, budget=64)
+    assert capped
+    assert 0.0 < logc <= math.log(128)
+    sched = Schedule((6, 7, 8, 9), (0.05,), budget=64)
+    est = restricted_entropy(sys, ball, sched)
+    assert est.warning is not None
+
+
+def test_symbolic_cell_propagates_other_errors(monkeypatch):
+    real, calls = entropy.symbolic_grid, []
+
+    def fails_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("grid failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "symbolic_grid", fails_once)
+    with pytest.raises(RuntimeError, match="grid failure"):
+        cell_log_count(get_system("fullshift:2"), Ball(word([0] * 8), 1.0),
+                       4, 0.05, budget=1000)

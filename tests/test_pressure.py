@@ -12,6 +12,7 @@ from translocal.pressure import (Region, cover_weight, critical_exponent,
 from translocal.spaces import Ball, circle
 
 LOG3 = math.log(3.0)
+CLI_S_GRID = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 def test_cover_weight_decreases_in_n_above_pressure():
@@ -53,6 +54,30 @@ def test_critical_exponent_brackets_topological_entropy():
     lo, hi = crit.bracket
     assert hi - lo <= 0.1
     assert lo - 0.05 <= LOG3 <= hi + 0.05
+
+
+def test_critical_exponent_pinned_values():
+    # exact values on the `translocal run` pressure grid; a change to the
+    # cover search that moves them moves every reported pressure
+    sys = get_system("tripling")
+    crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05,
+                             s_grid=CLI_S_GRID)
+    assert crit.value == 1.1015625
+    assert crit.bracket == (1.09375, 1.109375)
+    crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, omega=0.6,
+                             s_grid=CLI_S_GRID, variant="translocal-upper")
+    assert crit.value == 0.6015625
+
+
+@pytest.mark.parametrize("s, r, family, value", [
+    (-0.5, 0.1, "uniform-n", 997.522573355638),
+    (1.1, 0.02, "refined", 8.241330880845185),
+])
+def test_each_cover_family_decides_some_weight(s, r, family, value):
+    w = cover_weight(get_system("tripling"), whole_circle(), ZERO_POTENTIAL,
+                     s, r, 4)
+    assert w.family == family
+    assert w.value == value
 
 
 def test_geometric_potential_zeroes_the_exponent():

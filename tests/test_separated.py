@@ -8,8 +8,8 @@ from translocal import separated
 from translocal.maps import get_system
 from translocal.separated import (SeparationQuery, bowen_distance,
                                   exact_variation, pairwise_count,
-                                  scan_count, separated_count,
-                                  symbolic_word_count, variation_count)
+                                  separated_count, symbolic_word_count,
+                                  variation_count)
 from translocal.spaces import Ball, circle, sample_grid, word
 
 
@@ -53,7 +53,7 @@ def test_scan_agrees_with_pairwise_on_fine_grids():
         ball = Ball(circle(c), 0.02)
         grid = sample_grid(ball, 2e-6)
         for n, eps in ((3, 0.05), (4, 0.1)):
-            fast, _ = scan_count(sys, grid.coords, n, eps)
+            fast, _, _ = variation_count(sys, grid.coords, n, eps)
             slow, _ = pairwise_count(
                 sys, grid.coords[:: max(len(grid) // 1500, 1)], n, eps)
             assert abs(fast - slow) <= max(1, 0.05 * slow)
@@ -62,8 +62,8 @@ def test_scan_agrees_with_pairwise_on_fine_grids():
 def test_strict_count_not_above_nonstrict():
     sys = get_system("tripling")
     xs = np.linspace(0.2, 0.4, 5000).reshape(-1, 1)
-    strict, _ = scan_count(sys, xs, 4, 0.05, strict=True)
-    loose, _ = scan_count(sys, xs, 4, 0.05, strict=False)
+    strict, _, _ = variation_count(sys, xs, 4, 0.05, strict=True)
+    loose, _, _ = variation_count(sys, xs, 4, 0.05, strict=False)
     assert strict <= loose
 
 

@@ -1,4 +1,5 @@
 """Coded shifts, Kraft roots, and the special sequences."""
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +92,14 @@ def test_marker_symbols_glue_at_word_boundaries():
     w1 = fam.code_word(1)
     assert language_membership(fam, w1 + w1)
     assert not language_membership(fam, (1, 2, 1))
+
+
+def test_membership_agrees_with_language_count():
+    fam = get_family("codedshift:linear:1,0")
+    for n in (1, 3, 5):
+        members = sum(language_membership(fam, w)
+                      for w in itertools.product(range(3), repeat=n))
+        assert members == coded_language_count(fam, n)
 
 
 def test_uvw_prefixes():
