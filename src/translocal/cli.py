@@ -18,6 +18,12 @@ import numpy as np
 
 from . import entropy, maps, measures, pressure, symbolic, spaces
 from .entropy import DEFAULT_SCHEDULE, Schedule
+from .errors import (BudgetExceededError, HorizonExceededError,
+                     NoPositiveRootError, SingularOrbitError,
+                     SpaceMismatchError, UnbracketedError)
+
+_NUMERIC_ERRORS = (BudgetExceededError, HorizonExceededError,
+                   NoPositiveRootError, SingularOrbitError, UnbracketedError)
 
 CSV_COLUMNS = ("experiment", "system", "point", "n_min", "n_max", "epsilon",
                "omega", "s", "potential", "value", "residual", "expected",
@@ -183,6 +189,11 @@ def run_experiment(cfg):
     points = [parse_point(sys_obj, p)
               for p in exp.get("points", exp.get("point", "")).split(";")
               if p.strip()]
+    for p in points:
+        if p.space != sys_obj.space:
+            raise SpaceMismatchError(
+                f"point in {p.space!r}, system {sys_obj.name!r} on "
+                f"{sys_obj.space!r}")
     omegas = [float(v) for v in exp.get("omega", "").split(",") if v.strip()]
     pot = maps.get_potential(exp.get("potential", "zero"))
     pot_id = exp.get("potential", "zero")
@@ -319,6 +330,9 @@ def cmd_run(args) -> int:
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except _NUMERIC_ERRORS as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
     exp = cfg["experiment"]
     summary = write_reports(rows, failures,
                             args.csv or exp.get("out_csv", ""),

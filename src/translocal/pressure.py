@@ -9,11 +9,22 @@ into eight chunks and covers each at its own level.  Neither family contains
 the other: a chunk is charged at least one whole ball and integrated on its
 own grid.  Transition detection uses the sign of the log-weight trend across
 the N-window.
+
+Every weight is read off a level table.  Per segment (each ball's interval
+and its eight chunks), one orbit pass over a midpoint grid records, for
+every level n the call can use, the s-free cover data: balls per sample
+cell, the potential sums over steps j < n, and the ball centres.  The
+log-derivative sums over j < n - 1 that size the balls are prefixes of the
+next level's, as are the potential sums, so one pass serves all levels.  An
+(s, N) weight is then the sum over cells of count * exp(-s*n + phi).
+`critical_exponent` builds the table once for its whole N-window and
+s-search; `cover_weight` builds one for N..N+4.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +81,7 @@ class CriticalExponent:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature over 1D intervals
+# Level tables over 1D intervals
 # ---------------------------------------------------------------------------
 
 def _interval_of(ball: Ball, space: str) -> tuple[float, float]:
@@ -83,95 +94,135 @@ def _interval_of(ball: Ball, space: str) -> tuple[float, float]:
     return max(c - r, 0.0), min(c + r, 1.0)
 
 
-def _segment_data(sys: System, pot: Potential, a: float, b: float, n: int):
-    """Midpoint grid with accumulated log-derivative and potential sums."""
-    k = _QUAD_POINTS
-    xs = (np.linspace(a, b, k, endpoint=False) + (b - a) / (2 * k))
-    if sys.space == CIRCLE:
-        xs = xs % 1.0
-    cur = xs.reshape(-1, 1)
-    lam = np.zeros(k)
-    phi = np.zeros(k)
-    for j in range(n):
-        phi += pot.values(sys, cur)
-        if j + 1 < n and sys.log_slope_many is not None:
-            lam += sys.log_slope_many(cur)
-        cur = sys.step_many(cur)
-    return xs, lam, phi
+class _Level(NamedTuple):
+    """s-free uniform-n cover data of one segment at one level n."""
+
+    n: int
+    count: float                   # balls in the cover
+    centers: np.ndarray            # up to 64 ball centres
+    counts: np.ndarray | None      # balls per sample cell; None: one ball
+    phi: np.ndarray | float        # potential sums (middle cell if one ball)
+
+    def weight(self, s: float) -> float:
+        if self.counts is None:
+            return math.exp(-s * self.n + self.phi)
+        return float(np.sum(self.counts * np.exp(-s * self.n + self.phi)))
 
 
-def _segment_weight(sys: System, pot: Potential, a: float, b: float, n: int,
-                    s: float, ext_of_lam) -> tuple[float, float, np.ndarray]:
-    """(weight, ball count, center samples) for a uniform-n cover of [a, b].
-
-    Each sample cell needs spacing/extent balls, where the extent is the
-    spatial footprint of one cover ball around that cell.
-    """
-    xs, lam, phi = _segment_data(sys, pot, a, b, n)
-    spacing = (b - a) / xs.shape[0]
-    ext = ext_of_lam(lam, n)
+def _level(xs: np.ndarray, spacing: float, ext: np.ndarray, phi: np.ndarray,
+           n: int) -> _Level:
+    """Each sample cell needs spacing/extent balls, where the extent is the
+    spatial footprint of one cover ball around that cell; a segment that
+    needs at most one ball gets one, centred at its middle cell."""
     counts = spacing / ext
     total = float(counts.sum())
     if total <= 1.0:
         mid = xs.shape[0] // 2
-        return math.exp(-s * n + float(phi[mid])), 1.0, xs[mid:mid + 1]
-    weight = float(np.sum(counts * np.exp(-s * n + phi)))
+        return _Level(n, 1.0, xs[mid:mid + 1], None, float(phi[mid]))
     cum = np.cumsum(counts)
     marks = np.arange(0.5, min(total, 64.0), 1.0)
-    centers = xs[np.searchsorted(cum, marks)]
-    return weight, total, centers
+    return _Level(n, total, xs[np.searchsorted(cum, marks)], counts,
+                  phi.copy())
+
+
+def _segment_levels(sys: System, pot: Potential, a: float, b: float,
+                    levels: range, ext_of_lam) -> dict[int, _Level]:
+    """Cover data of [a, b] at every level in `levels`, from one orbit pass.
+
+    Level n sums the potential over steps j < n and the log-derivative over
+    j < n - 1, each in step order, so level n's sums are the running sums
+    after n (and n - 1) steps.
+    """
+    k = _QUAD_POINTS
+    xs = (np.linspace(a, b, k, endpoint=False) + (b - a) / (2 * k))
+    if sys.space == CIRCLE:
+        xs = xs % 1.0
+    spacing = (b - a) / k
+    cur = xs.reshape(-1, 1)
+    lam = np.zeros(k)
+    phi = np.zeros(k)
+    table = {}
+    for n in range(1, levels.stop):
+        phi += pot.values(sys, cur)
+        if n >= levels.start:
+            table[n] = _level(xs, spacing, ext_of_lam(lam, n), phi, n)
+        if n + 1 < levels.stop:
+            if sys.log_slope_many is not None:
+                lam += sys.log_slope_many(cur)
+            cur = sys.step_many(cur)
+    return table
 
 
 def _bowen_extent(r: float):
+    if r <= 0:
+        raise ValueError("radius must be positive")
+
     def ext(lam, n):
         return np.minimum(2.0 * r * np.exp(-lam), 1.0)
     return ext
 
 
 def _metric_extent(omega: float):
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+
     def ext(lam, n):
         return np.full_like(lam, min(2.0 * math.exp(-omega * n), 1.0))
     return ext
+
+
+def _cover_table(sys: System, region: Region, pot: Potential, levels: range,
+                 ext_of_lam) -> list:
+    """Per ball, the levels of its segment and of each of its chunks."""
+    if levels.start < 1:
+        raise ValueError("N must be >= 1")
+    if region.space not in (CIRCLE, INTERVAL):
+        raise ValueError(
+            f"cover construction implemented for 1D regions, got "
+            f"{region.space!r}")
+    table = []
+    for ball in region.balls:
+        a, b = _interval_of(ball, region.space)
+        edges = np.linspace(a, b, _CHUNKS + 1)
+        table.append((
+            _segment_levels(sys, pot, a, b, levels, ext_of_lam),
+            [_segment_levels(sys, pot, lo, hi, levels, ext_of_lam)
+             for lo, hi in zip(edges, edges[1:])]))
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Cover weights
 # ---------------------------------------------------------------------------
 
-def _best_level(sys: System, pot: Potential, segments, N: int, s: float,
-                ext_of_lam) -> tuple[float, float, list, int]:
+def _best_level(segments: list, N: int,
+                s: float) -> tuple[float, float, list, int]:
     """(weight, count, centers, n) of the cheapest single level n in N..N+4
     covering every segment; ties go to the lowest level."""
     best = None
     for n in range(N, N + _LEVELS):
         weight, count, centers = 0.0, 0.0, []
-        for a, b in segments:
-            w, c, cen = _segment_weight(sys, pot, a, b, n, s, ext_of_lam)
-            weight += w
-            count += c
-            centers.extend(cen.tolist())
+        for levels in segments:
+            level = levels[n]
+            weight += level.weight(s)
+            count += level.count
+            centers.extend(level.centers.tolist())
         if best is None or weight < best[0]:
             best = (weight, count, centers, n)
     return best
 
 
-def _region_weight(sys: System, region: Region, pot: Potential, s: float,
-                   N: int, ext_of_lam) -> tuple[str, float, float, tuple, tuple]:
+def _region_weight(table: list, s: float,
+                   N: int) -> tuple[str, float, float, tuple, tuple]:
     """(family, weight, count, centers, levels) of the cheaper cover family;
     ties go to uniform-n."""
-    if region.space not in (CIRCLE, INTERVAL):
-        raise ValueError(
-            f"cover construction implemented for 1D regions, got "
-            f"{region.space!r}")
-    segments = [_interval_of(ball, region.space) for ball in region.balls]
-    w, c, centers, n = _best_level(sys, pot, segments, N, s, ext_of_lam)
+    w, c, centers, n = _best_level([whole for whole, _ in table], N, s)
     uniform = ("uniform-n", w, c, tuple(centers[:64]), (n,))
     weight, count, centers, ns = 0.0, 0.0, [], set()
-    for a, b in segments:
-        edges = np.linspace(a, b, _CHUNKS + 1)
+    for _, chunks in table:
         ball_w, ball_c = 0.0, 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            w, c, cen, n = _best_level(sys, pot, [(lo, hi)], N, s, ext_of_lam)
+        for chunk in chunks:
+            w, c, cen, n = _best_level([chunk], N, s)
             ball_w += w
             ball_c += c
             centers.extend(cen[:8])
@@ -187,10 +238,8 @@ def _region_weight(sys: System, region: Region, pot: Potential, s: float,
 def _cover_weight(sys: System, region: Region, pot: Potential, s: float,
                   N: int, ext_of_lam, r: float | None,
                   omega: float | None) -> CoverWeight:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    family, w, c, centers, ns = _region_weight(sys, region, pot, s, N,
-                                               ext_of_lam)
+    table = _cover_table(sys, region, pot, range(N, N + _LEVELS), ext_of_lam)
+    family, w, c, centers, ns = _region_weight(table, s, N)
     return CoverWeight(w, s, r, omega, N, pot.kind, family, c, ns, centers)
 
 
@@ -199,8 +248,6 @@ def cover_weight(sys: System, region: Region, pot: Potential, s: float,
     """Weighted Bowen-ball cover sum, minimized over the two cover families
     on levels N..N+4: uniform-n (one level for the whole region) and
     refined (eight chunks per ball, each at its own level)."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
     return _cover_weight(sys, region, pot, s, N, _bowen_extent(r), r, None)
 
 
@@ -208,8 +255,6 @@ def translocal_cover_weight(sys: System, region: Region, pot: Potential,
                             s: float, omega: float, N: int) -> CoverWeight:
     """Cover sum with metric balls of radius exp(-omega * n_j), minimized
     as in `cover_weight`."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     return _cover_weight(sys, region, pot, s, N, _metric_extent(omega),
                          None, omega)
 
@@ -219,7 +264,8 @@ def translocal_cover_weight(sys: System, region: Region, pot: Potential,
 # ---------------------------------------------------------------------------
 
 def _log_weight_trend(weights, variant: str) -> float:
-    data = [(w.N, math.log(max(w.value, 1e-300))) for w in weights]
+    """Trend of log weight against N over (N, weight) pairs."""
+    data = [(N, math.log(max(w, 1e-300))) for N, w in weights]
     if variant == "translocal-upper":
         return growth_rate(data, "limsup").value
     if variant == "translocal-lower":
@@ -233,21 +279,23 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
                       s_grid: tuple = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0),
                       variant: str = "bowen-ball",
                       tol: float = 0.02) -> CriticalExponent:
-    """Bisection on s of the sign of the log-weight trend across N."""
+    """Bisection on s of the sign of the log-weight trend across N.
+
+    One level table, for levels min(n_window) .. max(n_window) + 4, serves
+    every weight of the search."""
     if variant == "bowen-ball" and r is None:
         raise ValueError("bowen-ball variant needs a radius r")
     if variant.startswith("translocal") and omega is None:
         raise ValueError("translocal variants need omega")
+    ext_of_lam = (_bowen_extent(r) if variant == "bowen-ball"
+                  else _metric_extent(omega))
+    table = _cover_table(sys, region, pot,
+                         range(min(n_window), max(n_window) + _LEVELS),
+                         ext_of_lam)
 
     def trend(s: float) -> float:
-        ws = []
-        for N in n_window:
-            if variant == "bowen-ball":
-                ws.append(cover_weight(sys, region, pot, s, r, N))
-            else:
-                ws.append(translocal_cover_weight(sys, region, pot, s,
-                                                  omega, N))
-        return _log_weight_trend(ws, variant)
+        return _log_weight_trend(
+            [(N, _region_weight(table, s, N)[1]) for N in n_window], variant)
 
     trends = {s: trend(s) for s in s_grid}
     bracket = None
@@ -295,6 +343,7 @@ class AuditReport:
 
 
 def _region_samples(region: Region, count: int):
+    """`count` evenly spaced points across each ball of the region."""
     pts = []
     for ball in region.balls:
         space = ball.center.space
@@ -306,7 +355,7 @@ def _region_samples(region: Region, count: int):
             pts.append(Point(space, (x,)))
     if not pts:
         raise ValueError("empty region sample")
-    return pts[:max(count, 1)]
+    return pts
 
 
 def ma_wen_audit(sys: System, mu: measures.Measure, pot: Potential,

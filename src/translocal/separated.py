@@ -61,9 +61,9 @@ def bowen_distance(sys: System, a: Point, b: Point, n: int,
     m = m or default_metric(sys)
     if sys.space == SYMBOLIC:
         return _symbolic_bowen(a.word, b.word, n, m.beta)
-    oa = orbit_coords(sys, np.asarray([a.coords]), n)[0]
-    ob = orbit_coords(sys, np.asarray([b.coords]), n)[0]
-    return float(_bowen_many(sys.space, oa[None, :, :], ob)[0])
+    oa = _embed(sys.space, orbit_coords(sys, np.asarray([a.coords]), n))
+    ob = _embed(sys.space, orbit_coords(sys, np.asarray([b.coords]), n))
+    return float(_bowen_many(sys.space, oa, ob[0])[0])
 
 
 def default_metric(sys: System) -> Metric:

@@ -56,7 +56,8 @@ n_max = 12
     code = run_cli(["run", cfg, "--csv", str(csv_path),
                     "--json", str(json_path)])
     assert code == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert list(rows[0]) == list(cli.CSV_COLUMNS)
     assert rows[0]["system"] == "tripling"
@@ -121,3 +122,31 @@ point = circle:0.3
     assert run_cli(["run", cfg]) == 0
     out = capsys.readouterr().out
     assert "1.0986" in out
+
+
+@pytest.mark.parametrize("kind", ["translocal", "restricted-entropy",
+                                  "yz-function"])
+def test_point_outside_the_system_space_exits_2(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path / "mismatch.ini", f"""
+[experiment]
+kind = {kind}
+system = disk
+point = circle:0.3
+""")
+    assert run_cli(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "disk" in err
+    assert "Traceback" not in err
+
+
+def test_singular_orbit_exits_1_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path / "singular.ini", """
+[experiment]
+kind = lyapunov
+system = g3branch
+point = circle:0.455118552
+""")
+    assert run_cli(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert err.count("\n") == 1 and "Traceback" not in err

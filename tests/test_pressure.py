@@ -1,15 +1,18 @@
 """Cover weights, critical exponents, and the two-sided audit."""
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from translocal import pressure
 from translocal.errors import UnbracketedError
 from translocal.maps import ZERO_POTENTIAL, get_potential, get_system
 from translocal.measures import get_measure
 from translocal.pressure import (Region, cover_weight, critical_exponent,
                                  ma_wen_audit, translocal_cover_weight,
                                  whole_circle)
-from translocal.spaces import Ball, circle
+from translocal.spaces import CIRCLE, Ball, circle
 
 LOG3 = math.log(3.0)
 CLI_S_GRID = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
@@ -115,3 +118,115 @@ def test_audit_consistency_zero_potential():
     rep = ma_wen_audit(sys, mu, ZERO_POTENTIAL, whole_circle())
     assert rep.passed
     assert rep.min_lower - rep.tol <= rep.pressure <= rep.max_upper + rep.tol
+
+
+# -- reference: one midpoint-grid quadrature per (segment, level) -----------
+
+def _ref_segment_data(sys, pot, a, b, n):
+    k = 4096
+    xs = (np.linspace(a, b, k, endpoint=False) + (b - a) / (2 * k))
+    if sys.space == CIRCLE:
+        xs = xs % 1.0
+    cur = xs.reshape(-1, 1)
+    lam = np.zeros(k)
+    phi = np.zeros(k)
+    for j in range(n):
+        phi += pot.values(sys, cur)
+        if j + 1 < n and sys.log_slope_many is not None:
+            lam += sys.log_slope_many(cur)
+        cur = sys.step_many(cur)
+    return xs, lam, phi
+
+
+def _ref_segment_weight(sys, pot, a, b, n, s, ext):
+    xs, lam, phi = _ref_segment_data(sys, pot, a, b, n)
+    counts = (b - a) / xs.shape[0] / ext(lam, n)
+    total = float(counts.sum())
+    if total <= 1.0:
+        mid = xs.shape[0] // 2
+        return math.exp(-s * n + float(phi[mid])), 1.0, xs[mid:mid + 1]
+    weight = float(np.sum(counts * np.exp(-s * n + phi)))
+    marks = np.arange(0.5, min(total, 64.0), 1.0)
+    return weight, total, xs[np.searchsorted(np.cumsum(counts), marks)]
+
+
+def _ref_best_level(sys, pot, segments, N, s, ext):
+    best = None
+    for n in range(N, N + 5):
+        weight, count, centers = 0.0, 0.0, []
+        for a, b in segments:
+            w, c, cen = _ref_segment_weight(sys, pot, a, b, n, s, ext)
+            weight += w
+            count += c
+            centers.extend(cen.tolist())
+        if best is None or weight < best[0]:
+            best = (weight, count, centers, n)
+    return best
+
+
+def _ref_cover_weight(sys, region, pot, s, N, ext):
+    """(value, count, n_values, sample_centers) of the cheaper family."""
+    segments = [pressure._interval_of(b, region.space) for b in region.balls]
+    w, c, centers, n = _ref_best_level(sys, pot, segments, N, s, ext)
+    uniform = (w, c, (n,), tuple(centers[:64]))
+    weight, count, centers, ns = 0.0, 0.0, [], set()
+    for a, b in segments:
+        edges = np.linspace(a, b, 9)
+        ball_w, ball_c = 0.0, 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            w, c, cen, n = _ref_best_level(sys, pot, [(lo, hi)], N, s, ext)
+            ball_w += w
+            ball_c += c
+            centers.extend(cen[:8])
+            ns.add(n)
+        weight += ball_w
+        count += ball_c
+    if weight < uniform[0]:
+        return weight, count, tuple(sorted(ns)), tuple(centers[:64])
+    return uniform
+
+
+TWO_BALLS = Region(balls=(Ball(circle(0.2), 0.05), Ball(circle(0.7), 0.1)))
+
+
+@pytest.mark.parametrize("sys_id", ["tripling", "g3branch"])
+@pytest.mark.parametrize("pot_id", ["zero", "geometric:1.0"])
+@pytest.mark.parametrize("region", [whole_circle(), TWO_BALLS],
+                         ids=["whole", "two-balls"])
+def test_level_table_matches_per_level_quadrature(sys_id, pot_id, region):
+    sys, pot = get_system(sys_id), get_potential(pot_id)
+    for s in (-0.5, 1.1):
+        for r, omega in ((0.02, None), (None, 0.6)):
+            if r is None:
+                got = translocal_cover_weight(sys, region, pot, s, omega, 3)
+                ext = pressure._metric_extent(omega)
+            else:
+                got = cover_weight(sys, region, pot, s, r, 3)
+                ext = pressure._bowen_extent(r)
+            want = _ref_cover_weight(sys, region, pot, s, 3, ext)
+            assert (got.value, got.count, got.n_values,
+                    got.sample_centers) == want
+
+
+def test_critical_exponent_steps_each_segment_once():
+    # one orbit pass per segment: the circle and its eight chunks
+    base = get_system("tripling")
+    calls = []
+
+    def step_many(coords):
+        calls.append(len(coords))
+        return base.step_many(coords)
+
+    sys = dataclasses.replace(base, step_many=step_many)
+    n_window = (3, 4, 5, 6, 7, 8)
+    critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05,
+                      n_window=n_window)
+    assert 0 < len(calls) <= 9 * (max(n_window) + 4)
+
+
+def test_audit_samples_every_ball():
+    pts = pressure._region_samples(TWO_BALLS, 12)
+    xs = [p.coords[0] for p in pts]
+    assert len(xs) == 24
+    assert all(0.14 < x < 0.26 for x in xs[:12])
+    assert all(0.59 < x < 0.81 for x in xs[12:])

@@ -10,7 +10,7 @@ from translocal.separated import (SeparationQuery, bowen_distance,
                                   exact_variation, pairwise_count,
                                   separated_count, symbolic_word_count,
                                   variation_count)
-from translocal.spaces import Ball, circle, sample_grid, word
+from translocal.spaces import Ball, circle, disk, sample_grid, word
 
 
 def test_bowen_distance_expands_with_n():
@@ -19,6 +19,14 @@ def test_bowen_distance_expands_with_n():
     for n in (1, 3, 5):
         assert bowen_distance(sys, a, b, n) == pytest.approx(
             1e-4 * 3.0 ** (n - 1), rel=1e-6)
+
+
+def test_bowen_distance_on_disk_is_planar():
+    # two points either side of angle 0 at radius 0.5 are 0.01 apart in the
+    # plane, not 2*pi - 0.02 apart in (radius, angle) coordinates
+    a, b = disk(0.5, 0.01), disk(0.5, 2.0 * math.pi - 0.01)
+    d = bowen_distance(get_system("disk"), a, b, 1)
+    assert d == pytest.approx(2.0 * 0.5 * math.sin(0.01), rel=1e-9)
 
 
 def test_exact_variation_full_circle_powers():
