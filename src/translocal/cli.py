@@ -52,6 +52,8 @@ def parse_point(sys_obj, text: str) -> spaces.Point:
             return spaces.interval(float(rest))
         if tag == "torus":
             return spaces.torus(*(float(v) for v in rest.split("/")))
+        if tag == "disk":
+            return spaces.disk(*(float(v) for v in rest.split("/")))
         if tag == "word":
             return spaces.word(rest)
         raise ConfigError(f"unknown point tag {tag!r}")
@@ -59,6 +61,8 @@ def parse_point(sys_obj, text: str) -> spaces.Point:
         return spaces.torus(*(float(v) for v in text.split("/")))
     if sys_obj.space == spaces.INTERVAL:
         return spaces.interval(float(text))
+    if sys_obj.space == spaces.DISK:
+        return spaces.disk(*(float(v) for v in text.split("/")))
     if sys_obj.space == spaces.SYMBOLIC:
         return spaces.word(text)
     return spaces.circle(float(text))

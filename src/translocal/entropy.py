@@ -97,7 +97,7 @@ def cell_log_count(sys: System, ball: Ball, n: int, eps: float,
     """log of the greedy separated count inside `ball`; flags capped cells."""
     space = sys.space
     if space in (CIRCLE, INTERVAL):
-        return _cell_1d(sys, ball, n, eps, budget)
+        return _cell_1d(sys, ball, n, eps)
     if space == TORUS and sys.matrix is not None:
         return _cell_toral(sys, ball, n, eps, budget)
     if space == SYMBOLIC:
@@ -105,48 +105,11 @@ def cell_log_count(sys: System, ball: Ball, n: int, eps: float,
     return _cell_generic(sys, ball, n, eps, budget)
 
 
-def _probe_max_logsum(sys: System, ball: Ball, n: int) -> float:
-    if sys.log_slope_many is None:
-        return (sys.max_log_slope or 0.0) * max(n - 1, 0)
-    c = ball.center.coords[0]
-    fracs = np.array([-1, -0.7, -0.45, -0.25, -0.12, -0.05, -0.02, -0.005,
-                      0.0, 0.005, 0.02, 0.05, 0.12, 0.25, 0.45, 0.7, 1.0])
-    probes = c + fracs * ball.radius
-    if sys.space == CIRCLE:
-        probes = probes % 1.0
-    else:
-        probes = np.clip(probes, 0.0, 1.0)
-    for b in sys.breakpoints:
-        near = np.abs(probes - b) < 1e-12
-        probes[near] += 1e-9
-    total = np.zeros_like(probes)
-    cur = probes.reshape(-1, 1)
-    for _ in range(max(n - 1, 0)):
-        total += sys.log_slope_many(cur)
-        cur = sys.step_many(cur)
-    total = total[np.isfinite(total)]
-    return max(float(total.max(initial=0.0)), 0.0)
-
-
-def _cell_1d(sys: System, ball: Ball, n: int, eps: float,
-             budget: int) -> tuple[float, bool]:
+def _cell_1d(sys: System, ball: Ball, n: int,
+             eps: float) -> tuple[float, bool]:
+    # exact count from the branch pushforward; never capped
     radius = min(ball.radius, 0.5) if sys.space == CIRCLE else ball.radius
     c = ball.center.coords[0]
-    try:
-        return _cell_1d_exact(sys, c, radius, n, eps)
-    except KeyError:
-        pass
-    # sampled fallback for maps without a branch decomposition
-    maxsum = _probe_max_logsum(sys, Ball(ball.center, radius), n)
-    ideal = min(0.25 * eps, 0.1) * math.exp(-maxsum)
-    res = min(max(ideal, 2 * radius / (0.9 * budget)), radius)
-    grid = sample_grid(Ball(ball.center, radius), res, cap=budget + 16)
-    count, _, share = separated.variation_count(sys, grid.coords, n, eps)
-    return math.log(count), share > 0.02
-
-
-def _cell_1d_exact(sys: System, c: float, radius: float, n: int,
-                   eps: float) -> tuple[float, bool]:
     wrap = False
     if sys.space == CIRCLE:
         if radius >= 0.5 - 1e-15:

@@ -2,13 +2,17 @@
 
 Every system evaluates vectorized on coordinate arrays of shape (N, d); 1D
 systems additionally expose log|f'| pointwise, toral systems their integer
-matrix.  Branch endpoints are left-closed: the endpoint belongs to the branch
-starting there.
+matrix.  Each 1D catalogue map carries its full monotone branch table, built
+once with the catalogue; an iterate made by `iterate_system` records its base
+system and power instead.  Branch endpoints are left-closed: the endpoint
+belongs to the branch starting there.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -28,8 +32,12 @@ class System:
     `step_many` maps an (N, d) coordinate array one iterate forward (already
     reduced into the phase space).  `log_slope_many`, present for 1D systems
     with a derivative rule, returns log|f'| at each coordinate.
-    `affine_branches` lists (lo, hi, slope, intercept) for piecewise-affine
-    1D maps (used for exact preimage computations).
+    `branches` is the full monotone branch table of a 1D map, sorted by `lo`
+    (see `Branch`); exact image variation pushes intervals through it, and
+    `domains` holds the canonical domains its branches map onto.
+    An iterate f^r has no table of its own: `base` is f and `power` is r.
+    `lebesgue_circle_invariant` marks circle maps that preserve Lebesgue
+    measure (every branch is affine onto the whole circle).
     """
 
     name: str
@@ -43,10 +51,15 @@ class System:
     alphabet: int | None = None
     horizon: int = DEFAULT_HORIZON
     max_log_slope: float | None = None
+    branches: tuple = ()
+    base: System | None = None
+    power: int = 1
+    lebesgue_circle_invariant: bool = False
+    domains: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def affine_branches(self):
-        return _AFFINE_BRANCHES.get(self.name)
+    def __post_init__(self):
+        object.__setattr__(self, "domains",
+                           frozenset(br.canonical for br in self.branches))
 
 
 def evaluate(sys: System, x: Point) -> Point:
@@ -233,12 +246,50 @@ def _toral_step(matrix):
     return step
 
 
-_AFFINE_BRANCHES = {
-    "tripling": ((0.0, 1 / 3, 3.0, 0.0), (1 / 3, 2 / 3, 3.0, -1.0),
-                 (2 / 3, 1.0, 3.0, -2.0)),
-    "g3branch": ((0.0, 0.5, 2.0, 0.0), (0.5, 0.75, 4.0, -2.0),
-                 (0.75, 1.0, 4.0, -3.0)),
-}
+# ---------------------------------------------------------------------------
+# Monotone branch tables (1D maps)
+#
+# Every 1D catalogue map is a union of continuous monotone branches, each
+# mapping its domain interval onto a canonical interval ("unit" = [0, 1],
+# ("band", m) = [2^-m, 2^(1-m)] for the staircase, "frozen" for its frozen
+# tail).  This supports exact image-variation computations with no sampling.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Branch:
+    lo: float
+    hi: float
+    fn: Callable[[float], float]
+    canonical: tuple
+
+
+_UNIT = ("unit",)
+
+
+def _affine_fn(slope, intercept):
+    return lambda x: slope * x + intercept
+
+
+def _staircase_lap_fn(base, laps, j):
+    def fn(x):
+        s = (x - base) / base * laps - j
+        y = s if j % 2 == 0 else 1.0 - s
+        return base * (1.0 + y)
+    return fn
+
+
+def _staircase_branches() -> tuple:
+    floor_cut = 2.0 ** (-STAIRCASE_LEVEL_CAP)
+    out = [Branch(0.0, floor_cut, lambda x: x, ("frozen",))]
+    for m in range(1, STAIRCASE_LEVEL_CAP + 1):
+        base = 2.0 ** (-m)
+        laps = 2 * m + 1
+        width = base / laps
+        for j in range(laps):
+            out.append(Branch(base + j * width, base + (j + 1) * width,
+                              _staircase_lap_fn(base, laps, j), ("band", m)))
+    out.sort(key=lambda br: br.lo)
+    return tuple(out)
 
 
 def _catalogue() -> dict[str, System]:
@@ -250,6 +301,10 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(lambda x: np.full_like(x, log3)),
             breakpoints=(0.0, 1 / 3, 2 / 3),
             h_top=log3, max_log_slope=log3,
+            branches=(Branch(0.0, 1 / 3, _affine_fn(3.0, 0.0), _UNIT),
+                      Branch(1 / 3, 2 / 3, _affine_fn(3.0, -1.0), _UNIT),
+                      Branch(2 / 3, 1.0, _affine_fn(3.0, -2.0), _UNIT)),
+            lebesgue_circle_invariant=True,
         ),
         "g3branch": System(
             name="g3branch", space=CIRCLE, dim=1,
@@ -257,6 +312,10 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(_g_log_slope),
             breakpoints=(0.0, 0.5, 0.75),
             h_top=log3, max_log_slope=math.log(4.0),
+            branches=(Branch(0.0, 0.5, _affine_fn(2.0, 0.0), _UNIT),
+                      Branch(0.5, 0.75, _affine_fn(4.0, -2.0), _UNIT),
+                      Branch(0.75, 1.0, _affine_fn(4.0, -3.0), _UNIT)),
+            lebesgue_circle_invariant=True,
         ),
         "pomeau-manneville": System(
             name="pomeau-manneville", space=INTERVAL, dim=1,
@@ -264,6 +323,8 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(_pm_log_slope),
             breakpoints=(0.5,),
             h_top=math.log(2.0), max_log_slope=math.log(4.0),
+            branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT),
+                      Branch(0.5, 1.0, _affine_fn(2.0, -1.0), _UNIT)),
         ),
         "sqrtmap": System(
             name="sqrtmap", space=INTERVAL, dim=1,
@@ -271,6 +332,8 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(_sqrt_log_slope),
             breakpoints=(0.5,),
             h_top=math.log(2.0), max_log_slope=None,
+            branches=(Branch(0.0, 0.5, lambda x: math.sqrt(2.0 * x), _UNIT),
+                      Branch(0.5, 1.0, _affine_fn(2.0, -1.0), _UNIT)),
         ),
         "staircase": System(
             name="staircase", space=INTERVAL, dim=1,
@@ -278,6 +341,7 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(_staircase_log_slope),
             breakpoints=(),
             h_top=None, max_log_slope=math.log(2 * STAIRCASE_LEVEL_CAP + 1),
+            branches=_staircase_branches(),
         ),
         "disk": System(
             name="disk", space=DISK, dim=2,
@@ -289,6 +353,8 @@ def _catalogue() -> dict[str, System]:
             step_many=_wrap_1d(lambda x: x),
             log_slope_many=_slope_1d(lambda x: np.zeros_like(x)),
             h_top=0.0, max_log_slope=0.0,
+            branches=(Branch(0.0, 1.0, lambda x: x, _UNIT),),
+            lebesgue_circle_invariant=True,
         ),
     }
     return systems
@@ -334,7 +400,8 @@ def get_system(spec_id: str) -> System:
 
 
 def iterate_system(sys: System, r: int) -> System:
-    """The map f^r, sharing f's phase space."""
+    """The map f^r, sharing f's phase space; it records f as `base` and r
+    as `power` and keeps f's Lebesgue invariance."""
     if r < 1:
         raise ValueError("iterate count must be >= 1")
     if sys.space == SYMBOLIC:
@@ -367,6 +434,8 @@ def iterate_system(sys: System, r: int) -> System:
         h_top=None if sys.h_top is None else r * sys.h_top,
         alphabet=sys.alphabet, horizon=sys.horizon,
         max_log_slope=None if sys.max_log_slope is None else r * sys.max_log_slope,
+        base=sys, power=r,
+        lebesgue_circle_invariant=sys.lebesgue_circle_invariant,
     )
 
 
@@ -376,97 +445,37 @@ def catalogue_ids() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Monotone branch decompositions (1D maps)
-#
-# Every 1D catalogue map is a union of continuous monotone branches, each
-# mapping its domain interval onto a canonical interval ("unit" = [0, 1],
-# ("band", m) = [2^-m, 2^(1-m)] for the staircase, "frozen" for its frozen
-# tail).  This supports exact image-variation computations with no sampling.
+# Branch queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Branch:
-    lo: float
-    hi: float
-    fn: Callable[[float], float]
-    canonical: tuple
+_BRANCH_LO = attrgetter("lo")
+_BRANCH_HI = attrgetter("hi")
 
 
-def _affine_fn(slope, intercept):
-    return lambda x: slope * x + intercept
-
-
-def monotone_branches(sys: System, lo: float, hi: float) -> list:
-    """Monotone continuous branches of `sys` intersecting [lo, hi]."""
-    name = sys.name
-    if name in _AFFINE_BRANCHES:
-        return [Branch(a, b, _affine_fn(s, i), ("unit",))
-                for a, b, s, i in _AFFINE_BRANCHES[name]
-                if b > lo and a < hi]
-    if name == "pomeau-manneville":
-        table = [Branch(0.0, 0.5, lambda x: x / (1.0 - x), ("unit",)),
-                 Branch(0.5, 1.0, _affine_fn(2.0, -1.0), ("unit",))]
-        return [b for b in table if b.hi > lo and b.lo < hi]
-    if name == "sqrtmap":
-        table = [Branch(0.0, 0.5, lambda x: math.sqrt(2.0 * x), ("unit",)),
-                 Branch(0.5, 1.0, _affine_fn(2.0, -1.0), ("unit",))]
-        return [b for b in table if b.hi > lo and b.lo < hi]
-    if name == "identity":
-        return [Branch(0.0, 1.0, lambda x: x, ("unit",))]
-    if name == "staircase":
-        return _staircase_branches(lo, hi)
-    raise KeyError(f"no branch table for system {name!r}")
-
-
-def _staircase_lap_fn(base, laps, j):
-    def fn(x):
-        s = (x - base) / base * laps - j
-        y = s if j % 2 == 0 else 1.0 - s
-        return base * (1.0 + y)
-    return fn
-
-
-def _staircase_branches(lo: float, hi: float) -> list:
-    out = []
-    floor_cut = 2.0 ** (-STAIRCASE_LEVEL_CAP)
-    if lo < floor_cut:
-        out.append(Branch(0.0, floor_cut, lambda x: x, ("frozen",)))
-    for m in range(1, STAIRCASE_LEVEL_CAP + 1):
-        base = 2.0 ** (-m)
-        if 2.0 * base <= lo or base >= hi:
-            continue
-        laps = 2 * m + 1
-        width = base / laps
-        for j in range(laps):
-            a = base + j * width
-            b = base + (j + 1) * width
-            if b > lo and a < hi:
-                out.append(Branch(a, b, _staircase_lap_fn(base, laps, j),
-                                  ("band", m)))
-    out.sort(key=lambda br: br.lo)
-    return out
+def monotone_branches(sys: System, lo: float, hi: float) -> tuple:
+    """The branches of `sys`'s table that intersect (lo, hi)."""
+    table = sys.branches
+    if not table:
+        raise ValueError(f"system {sys.name!r} has no monotone branch table")
+    return table[bisect_right(table, lo, key=_BRANCH_HI):
+                 bisect_left(table, hi, key=_BRANCH_LO)]
 
 
 def canonical_growth(sys: System, canonical: tuple, k: int) -> float:
-    """Image variation of f^k over a canonical full domain."""
+    """Image variation of f^k over a canonical domain of `sys`'s table."""
     if k < 0:
         raise ValueError("negative iterate count")
+    if canonical not in sys.domains:
+        raise ValueError(
+            f"system {sys.name!r} has no branch onto {canonical!r}")
     kind = canonical[0]
     if kind == "frozen":
         return 2.0 ** (-STAIRCASE_LEVEL_CAP)
     if kind == "band":
         m = canonical[1]
         return (2 * m + 1) ** k * 2.0 ** (-m)
-    if kind == "unit":
-        if sys.name == "staircase":
-            # [0, 1] splits into the bands plus the frozen tail
-            total = 2.0 ** (-STAIRCASE_LEVEL_CAP)
-            for m in range(1, STAIRCASE_LEVEL_CAP + 1):
-                total += (2 * m + 1) ** k * 2.0 ** (-m)
-            return total
-        deg = len(monotone_branches(sys, 0.0, 1.0))
-        return float(deg) ** k
-    raise KeyError(f"unknown canonical domain {canonical!r}")
+    # "unit" branches come only in full-branch tables, each covering [0, 1]
+    return float(len(sys.branches)) ** k
 
 
 # ---------------------------------------------------------------------------

@@ -79,15 +79,12 @@ def measure_ids() -> list[str]:
 # Invariance certificates
 # ---------------------------------------------------------------------------
 
-_LEBESGUE_CIRCLE_SYSTEMS = ("tripling", "g3branch", "identity")
-
-
 def certified_invariant(sys: System, mu: Measure) -> bool:
-    """Whitelist of (system, measure) pairs verified by the preimage-length
-    test (see the measure test suite)."""
-    base = sys.name.split("^")[0]
+    """(system, measure) pairs known to be invariant; the systems flagged
+    `lebesgue_circle_invariant` are checked by the preimage-length test (see
+    the measure test suite)."""
     if mu.variant == "lebesgue-circle":
-        return base in _LEBESGUE_CIRCLE_SYSTEMS
+        return sys.lebesgue_circle_invariant
     if mu.variant == "lebesgue-torus":
         return sys.matrix is not None
     if mu.variant == "bernoulli":

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spaces
 from .errors import SpaceMismatchError
-from .maps import System, orbit_coords
+from .maps import System, canonical_growth, monotone_branches, orbit_coords
 from .spaces import CIRCLE, DISK, INTERVAL, SYMBOLIC, TORUS, Grid, Metric, Point
 
 _PAIRWISE_LIMIT = 4000
@@ -251,21 +251,21 @@ def _min_gap(coords: np.ndarray) -> float:
 def exact_variation(sys: System, lo: float, hi: float, n: int) -> float:
     """Total variation of f^(n-1) over [lo, hi], counted with multiplicity.
 
-    Pushes the interval forward through the monotone branch decomposition.
-    Branches covered in full contribute a closed-form growth factor, so only
-    the two end fragments are tracked and the cost is linear in n.  This
-    resolves image laps far below any feasible sample resolution.
+    Pushes the interval forward through the system's monotone branch table
+    (an iterate through its base system's).  Branches covered in full
+    contribute a closed-form growth factor, so only the two end fragments
+    are tracked and the cost is linear in n.  This resolves image laps far
+    below any feasible sample resolution.
     """
-    from .maps import canonical_growth, get_system, monotone_branches
     if n < 1:
         raise ValueError("n must be >= 1")
     if not hi > lo:
         raise ValueError("empty interval")
-    if "^" in sys.name:
+    if sys.base is not None:
         # iterate g^r: the (n-1)-th image equals the r*(n-1)-th image of g
-        base_name, r = sys.name.rsplit("^", 1)
-        return exact_variation(get_system(base_name), lo, hi,
-                               int(r) * (n - 1) + 1)
+        return exact_variation(sys.base, lo, hi, sys.power * (n - 1) + 1)
+    if not sys.branches:
+        raise ValueError(f"system {sys.name!r} has no monotone branch table")
     total = 0.0
     partials = [(float(lo), float(hi))]
     for step in range(n - 1):

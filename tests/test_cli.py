@@ -1,6 +1,7 @@
 """Command-line entry points: configs, reports, and exit codes."""
 import csv
 import json
+import math
 
 import pytest
 
@@ -150,3 +151,24 @@ point = circle:0.455118552
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", ["disk:0.5/1.0", "0.5/1.0"])
+def test_run_translocal_on_disk(tmp_path, capsys, point):
+    cfg = write_config(tmp_path / "disk.ini", f"""
+[experiment]
+kind = translocal
+system = disk
+point = {point}
+
+[schedule]
+n_min = 2
+n_max = 4
+epsilons = 0.2,0.1
+""")
+    csv_path = tmp_path / "disk.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["system"] for row in rows] == ["disk"]
+    assert math.isfinite(float(rows[0]["value"]))

@@ -1,4 +1,5 @@
 """Growth-rate regression and the entropy estimators."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from translocal.entropy import (DEFAULT_SCHEDULE, Schedule, cell_log_count,
                                 growth_rate, lyapunov_exponent,
                                 restricted_entropy, toral_translocal,
                                 translocal_entropy, yz_entropy_function)
-from translocal.maps import get_system, log_derivative_sum, toral_eigen_data
+from translocal.maps import (get_system, iterate_system, log_derivative_sum,
+                             toral_eigen_data)
 from translocal.spaces import Ball, circle, interval, word
 
 LOG3 = math.log(3.0)
@@ -128,3 +130,15 @@ def test_symbolic_cell_propagates_other_errors(monkeypatch):
     with pytest.raises(RuntimeError, match="grid failure"):
         cell_log_count(get_system("fullshift:2"), Ball(word([0] * 8), 1.0),
                        4, 0.05, budget=1000)
+
+
+def test_nested_iterate_whole_circle_entropy():
+    nested = iterate_system(iterate_system(get_system("tripling"), 2), 3)
+    est = restricted_entropy(nested, Ball(circle(0.5), 0.5))
+    assert est.value == pytest.approx(6 * LOG3, rel=0.10)
+
+
+def test_1d_cell_without_branch_table_is_rejected():
+    tableless = dataclasses.replace(get_system("tripling"), branches=())
+    with pytest.raises(ValueError):
+        cell_log_count(tableless, Ball(circle(0.3), 0.1), 5, 0.01, 10_000)

@@ -112,6 +112,15 @@ def test_monotone_branches_tripling():
     assert canonical_growth(sys, ("unit",), 2) == pytest.approx(9.0)
 
 
+def test_canonical_growth_rejects_domains_outside_the_table():
+    staircase = get_system("staircase")
+    assert canonical_growth(staircase, ("band", 2), 1) == pytest.approx(1.25)
+    with pytest.raises(ValueError):
+        canonical_growth(staircase, ("unit",), 2)
+    with pytest.raises(ValueError):
+        canonical_growth(get_system("tripling"), ("band", 2), 1)
+
+
 def test_geometric_potential_values():
     sys = get_system("tripling")
     pot = get_potential("geometric:0.5")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from translocal.entropy import Schedule
-from translocal.maps import ZERO_POTENTIAL, get_potential, get_system
+from translocal.maps import (ZERO_POTENTIAL, catalogue_ids, get_potential,
+                             get_system, iterate_system)
 from translocal.measures import (ball_measure, bowen_ball_measure, brin_katok,
                                  certified_invariant, get_measure,
                                  local_pressure, qmc_ball_measure,
@@ -59,12 +60,24 @@ def test_invariance_certificates():
                                    get_measure("dirac:circle:0.3"))
 
 
+def test_nested_iterate_keeps_lebesgue_invariance():
+    nested = iterate_system(iterate_system(get_system("tripling"), 2), 3)
+    assert certified_invariant(nested, get_measure("lebesgue-circle"))
+    sqrt2 = iterate_system(get_system("sqrtmap"), 2)
+    assert not certified_invariant(sqrt2, get_measure("lebesgue-circle"))
+
+
 def test_lebesgue_invariance_of_whitelisted_maps():
     # pushforward check: mass of f^{-1}[a, b] equals b - a
     rng = np.random.default_rng(19)
     xs = rng.random(200_000).reshape(-1, 1)
-    for sys_id in ("tripling", "g3branch", "identity"):
-        sys = get_system(sys_id)
+    catalogue = [get_system(sys_id) for sys_id in catalogue_ids()
+                 if "<" not in sys_id]
+    flagged = [sys for sys in catalogue if sys.lebesgue_circle_invariant]
+    assert {sys.name for sys in flagged} >= {"tripling", "g3branch"}
+    for sys_id in ("sqrtmap", "pomeau-manneville", "staircase"):
+        assert not get_system(sys_id).lebesgue_circle_invariant
+    for sys in flagged:
         ys = sys.step_many(xs)[:, 0]
         for a, b in ((0.1, 0.35), (0.6, 0.9)):
             frac = float(((ys >= a) & (ys < b)).mean())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from translocal import separated
-from translocal.maps import get_system
+from translocal.maps import get_system, iterate_system
 from translocal.separated import (SeparationQuery, bowen_distance,
                                   exact_variation, pairwise_count,
                                   separated_count, symbolic_word_count,
@@ -113,3 +113,13 @@ def test_wraparound_detection():
     arc = np.linspace(0.2, 0.4, 1000).reshape(-1, 1)
     assert separated._covers_circle(sys, full)
     assert not separated._covers_circle(sys, arc)
+
+
+def test_nested_iterate_variation_matches_flat_iterate():
+    tripling = get_system("tripling")
+    nested = iterate_system(iterate_system(tripling, 2), 3)
+    flat = iterate_system(tripling, 6)
+    for lo, hi in ((0.0, 1.0), (0.1, 0.35), (0.6, 0.61)):
+        for n in (1, 2, 3):
+            assert exact_variation(nested, lo, hi, n) \
+                == exact_variation(flat, lo, hi, n)
