@@ -27,7 +27,7 @@ _NUMERIC_ERRORS = (BudgetExceededError, HorizonExceededError,
 
 CSV_COLUMNS = ("experiment", "system", "point", "n_min", "n_max", "epsilon",
                "omega", "s", "potential", "value", "residual", "expected",
-               "rel_error", "provenance")
+               "rel_error", "provenance", "warning")
 
 KINDS = ("restricted-entropy", "yz-function", "translocal", "lyapunov",
          "brin-katok", "local-pressure", "translocal-pressure", "pressure",
@@ -208,7 +208,8 @@ def run_experiment(cfg):
     n_min, n_max = sched.n_values[0], sched.n_values[-1]
     eps_final = sched.epsilons[-1]
 
-    def emit(point_label, omega, s, value, residual, exp_triplet):
+    def emit(point_label, omega, s, value, residual, exp_triplet,
+             warning=None):
         nonlocal failures
         expected, prov, tol = ("", "", None)
         rel = ""
@@ -223,7 +224,8 @@ def run_experiment(cfg):
                          epsilon=eps_final, omega="" if omega is None else omega,
                          s="" if s is None else s, potential=pot_id,
                          value=value, residual=residual, expected=expected,
-                         rel_error=rel, provenance=prov))
+                         rel_error=rel, provenance=prov,
+                         warning=warning or ""))
 
     def label(p):
         if p.word:
@@ -235,19 +237,22 @@ def run_experiment(cfg):
             for w in omegas or [0.5]:
                 up, _ = entropy.translocal_entropy(sys_obj, p, w, sched)
                 emit(label(p), w, None, up.value, up.residual,
-                     expected_for(kind, sys_obj, p, w, pot_id, extra))
+                     expected_for(kind, sys_obj, p, w, pot_id, extra),
+                     up.warning)
     elif kind == "restricted-entropy":
         radius = exp.getfloat("radius", fallback=0.5)
         for p in points:
             est = entropy.restricted_entropy(
                 sys_obj, spaces.Ball(p, radius), sched)
             emit(label(p), None, None, est.value, est.residual,
-                 expected_for(kind, sys_obj, p, None, pot_id, extra))
+                 expected_for(kind, sys_obj, p, None, pot_id, extra),
+                 est.warning)
     elif kind == "yz-function":
         for p in points:
             est = entropy.yz_entropy_function(sys_obj, p, sched=sched)
             emit(label(p), None, None, est.value, est.residual,
-                 expected_for(kind, sys_obj, p, None, pot_id, extra))
+                 expected_for(kind, sys_obj, p, None, pot_id, extra),
+                 est.warning)
     elif kind == "lyapunov":
         horizon = exp.getint("steps", fallback=200)
         for p in points:
@@ -262,7 +267,8 @@ def run_experiment(cfg):
             else:
                 up, _ = measures.local_pressure(sys_obj, mu, pot, p, sched)
             emit(label(p), None, None, up.value, up.residual,
-                 expected_for(kind, sys_obj, p, None, pot_id, extra))
+                 expected_for(kind, sys_obj, p, None, pot_id, extra),
+                 up.warning)
     elif kind == "translocal-pressure":
         if mu is None:
             raise ConfigError("translocal-pressure needs a measure id")
@@ -271,7 +277,8 @@ def run_experiment(cfg):
                 up, _ = measures.translocal_local_pressure(
                     sys_obj, mu, pot, p, w, sched)
                 emit(label(p), w, None, up.value, up.residual,
-                     expected_for(kind, sys_obj, p, w, pot_id, extra))
+                     expected_for(kind, sys_obj, p, w, pot_id, extra),
+                     up.warning)
     elif kind == "pressure":
         region = pressure.whole_circle()
         r = exp.getfloat("radius", fallback=0.05)

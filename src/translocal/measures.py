@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rate
@@ -22,6 +21,7 @@ from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point,
                      distance)
 
 _QMC_POINTS = 1 << 14
+_HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,27 @@ def _require_invariant(sys: System, mu: Measure) -> None:
 # Ball measures
 # ---------------------------------------------------------------------------
 
+def _halton(n: int, d: int) -> np.ndarray:
+    """First n points of the unscrambled Halton sequence in [0, 1)^d.
+
+    Column j is the radical inverse of 0..n-1 in the j-th prime.  Digits
+    are added least significant first, the order of the standard Van der
+    Corput recurrence, so the points are reproducible bit for bit.
+    """
+    if not 1 <= d <= len(_HALTON_BASES):
+        raise ValueError(
+            f"Halton dimension must be in 1..{len(_HALTON_BASES)}, got {d}")
+    out = np.zeros((n, d))
+    for j, base in enumerate(_HALTON_BASES[:d]):
+        q = np.arange(n)
+        b2r = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * b2r
+            b2r /= base
+            q //= base
+    return out
+
+
 def _pinned_symbols(radius: float, beta: float, closed: bool) -> int:
     # closed ball: words within distance radius, i.e. beta^-m <= radius
     if radius >= 1.0:
@@ -146,7 +167,9 @@ def qmc_ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None,
                      n_points: int = _QMC_POINTS) -> tuple[float, float]:
     """Low-discrepancy estimate of a ball's measure with a standard error.
 
-    Deterministic (unscrambled Halton) so repeated runs agree exactly.
+    The points are the first `n_points` of the unscrambled Halton sequence
+    (`_halton`, radical inverses in the first primes), so repeated runs agree
+    exactly.
     Supported for the Lebesgue variants; exists mainly to cross-check the
     closed forms and to handle non-standard metrics.
     """
@@ -154,8 +177,7 @@ def qmc_ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None,
         raise ValueError("quasi-Monte-Carlo backend needs a Lebesgue variant")
     d = len(ball.center.coords)
     m = metric or Metric(mu.space)
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = sampler.random(n_points)
+    pts = _halton(n_points, d)
     space = mu.space
     hits = np.fromiter(
         (ball.contains(Point(space, tuple(row)), m) for row in pts),
@@ -244,8 +266,7 @@ def _sampled_bowen_measure(sys: System, mu: Measure, x: Point, n: int,
             f"no Bowen-ball backend for measure {mu.variant!r} on "
             f"system {sys.name!r}")
     d = len(x.coords)
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = sampler.random(_QMC_POINTS)
+    pts = _halton(_QMC_POINTS, d)
     orbits = separated._embed(sys.space, orbit_coords(sys, pts, n))
     ref = separated._embed(sys.space,
                            orbit_coords(sys, np.asarray([x.coords]), n))[0]

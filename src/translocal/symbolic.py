@@ -1,6 +1,7 @@
 """Coded shift spaces: code-word families over {0,1,2}, exact language
-counting via a determinized position automaton, entropy from the Kraft
-equation, and the three special sequences u, v, w used in the examples.
+counting via a determinized position automaton on int bitmasks, entropy
+from the Kraft equation, and the three special sequences u, v, w used in
+the examples.
 
 Code word k has the form  2 0^g(k) w_k 0^g(k) 2  where w_k enumerates the
 nonempty binary words by length and g is the gap rule.  The factorial gap
@@ -187,33 +188,44 @@ def kraft_entropy(source, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def _position_table(fam: CodeWordFamily):
-    words = [fam.code_word(k) for k in range(1, fam.word_count() + 1)]
-    total = sum(len(w) for w in words)
+    """The code words, after checking from their lengths alone that they fit
+    the position budget (a geometric gap makes words of about 2^65
+    symbols)."""
+    total = sum(fam.length(k) for k in range(1, fam.word_count() + 1))
     if total > _MAX_POSITIONS:
         raise BudgetExceededError(total, _MAX_POSITIONS)
-    return words
+    return [fam.code_word(k) for k in range(1, fam.word_count() + 1)]
 
 
 def _automaton(fam: CodeWordFamily):
-    """Start state and cached transition of the determinized automaton over
-    in-word positions (k, i) of the code words."""
+    """Start state and transition of the determinized automaton over in-word
+    positions of the code words.
+
+    The code words are laid end to end, so position p of the concatenation
+    is bit p of a Python int, and a state is the int whose set bits are the
+    live positions.  `letters[a]` marks the positions holding symbol a,
+    `firsts` and `lasts` the first and last position of each word.  Reading
+    a keeps the live positions holding a; each moves to the next bit, and a
+    word's last position moves to the first position of every word.  The
+    start state has every position live; 0 is the dead state.
+    """
     words = _position_table(fam)
-    starts = frozenset((k, i) for k, w in enumerate(words)
-                       for i in range(len(w)))
+    letters: dict[int, int] = {}
+    firsts = lasts = 0
+    p = 0
+    for w in words:
+        firsts |= 1 << p
+        for symbol in w:
+            letters[symbol] = letters.get(symbol, 0) | (1 << p)
+            p += 1
+        lasts |= 1 << (p - 1)
+    not_lasts = ~lasts
 
-    @lru_cache(maxsize=None)
-    def step(state: frozenset, symbol: int) -> frozenset:
-        nxt = set()
-        for k, i in state:
-            if words[k][i] != symbol:
-                continue
-            if i + 1 < len(words[k]):
-                nxt.add((k, i + 1))
-            else:
-                nxt.update((k2, 0) for k2 in range(len(words)))
-        return frozenset(nxt)
+    def step(state: int, symbol: int) -> int:
+        hit = state & letters.get(symbol, 0)
+        return ((hit & not_lasts) << 1) | (firsts if hit & lasts else 0)
 
-    return starts, step
+    return (1 << p) - 1, step
 
 
 def coded_language_count(fam: CodeWordFamily, n: int) -> int:
@@ -228,7 +240,7 @@ def coded_language_count(fam: CodeWordFamily, n: int) -> int:
     alphabet = fam.alphabet
 
     @lru_cache(maxsize=None)
-    def count(state: frozenset, m: int) -> int:
+    def count(state: int, m: int) -> int:
         if m == 0:
             return 1
         total = 0

@@ -172,3 +172,23 @@ epsilons = 0.2,0.1
         rows = list(csv.DictReader(fh))
     assert [row["system"] for row in rows] == ["disk"]
     assert math.isfinite(float(rows[0]["value"]))
+
+
+def test_estimate_warning_reaches_the_csv(tmp_path, capsys):
+    # a Dirac mass at the fixed point 0 gives the ball around 0.3 no mass
+    cfg = write_config(tmp_path / "bk.ini", """
+[experiment]
+kind = brin-katok
+system = tripling
+measure = dirac:circle:0
+points = circle:0.3;circle:0
+
+[schedule]
+n_min = 2
+n_max = 5
+""")
+    csv_path = tmp_path / "bk.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["warning"] for row in rows] == ["zero-measure ball", ""]

@@ -1,14 +1,19 @@
 """Reference measures, ball masses, and local decay rates."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import translocal
 from translocal.entropy import Schedule
 from translocal.maps import (ZERO_POTENTIAL, catalogue_ids, get_potential,
                              get_system, iterate_system)
-from translocal.measures import (ball_measure, bowen_ball_measure, brin_katok,
-                                 certified_invariant, get_measure,
+from translocal.measures import (_halton, ball_measure, bowen_ball_measure,
+                                 brin_katok, certified_invariant, get_measure,
                                  local_pressure, qmc_ball_measure,
                                  translocal_local_pressure)
 from translocal.spaces import Ball, circle, torus, word
@@ -45,6 +50,34 @@ def test_qmc_agrees_with_closed_form():
     mu = get_measure("lebesgue-circle")
     frac, stderr = qmc_ball_measure(mu, Ball(circle(0.4), 0.1))
     assert frac == pytest.approx(0.2, abs=max(4 * stderr, 0.004))
+
+
+def test_qmc_ball_measure_pinned_value():
+    # the value scipy's qmc.Halton(d=1, scramble=False) points gave
+    mu = get_measure("lebesgue-circle")
+    assert repr(qmc_ball_measure(mu, Ball(circle(0.4), 0.1))) \
+        == "(0.20001220703125, 0.0031250715233000458)"
+
+
+def test_halton_columns_are_radical_inverses():
+    pts = _halton(5, 2)
+    assert pts[:, 0].tolist() == [0.0, 1 / 2, 1 / 4, 3 / 4, 1 / 8]
+    assert pts[:, 1].tolist() == pytest.approx(
+        [0.0, 1 / 3, 2 / 3, 1 / 9, 4 / 9], abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [0, 7])
+def test_halton_rejects_dimensions_outside_its_prime_table(d):
+    with pytest.raises(ValueError):
+        _halton(4, d)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, translocal.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    src = Path(translocal.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 def test_invariance_certificates():

@@ -1,4 +1,6 @@
-"""Hypothesis properties of the exact branch pushforward."""
+"""Hypothesis properties of the exact branch pushforward and of coded-shift
+language counts."""
+import itertools
 import math
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from translocal.maps import catalogue_ids, get_system
 from translocal.separated import exact_variation
 from translocal.spaces import CIRCLE, INTERVAL
+from translocal.symbolic import (coded_language_count, get_family,
+                                 language_membership)
 
 # Branch counts of the full-branch maps, and the staircase's level cap,
 # written out here rather than read from the branch tables.
@@ -65,3 +69,15 @@ def test_staircase_variation_sums_its_bands(power, n):
         (2 * m + 1) ** k * 2.0 ** -m for m in range(1, STAIRCASE_LEVELS + 1))
     assert exact_variation(_system("staircase", power), 0.0, 1.0, n) \
         == pytest.approx(expected, rel=1e-12)
+
+
+@PROPERTY
+@given(words=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=4),
+                      min_size=1, max_size=4),
+       n=st.integers(0, 5))
+def test_coded_count_counts_member_words(words, n):
+    fam = get_family("codedshift:words:"
+                     + ",".join("".join(map(str, w)) for w in words))
+    members = sum(language_membership(fam, w)
+                  for w in itertools.product(range(fam.alphabet), repeat=n))
+    assert coded_language_count(fam, n) == members

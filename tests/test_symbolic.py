@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from translocal.errors import BudgetExceededError, NoPositiveRootError
+from translocal.separated import symbolic_word_count
 from translocal.symbolic import (binary_word, coded_language_count,
                                  get_family, kraft_entropy,
                                  language_membership, make_uvw)
@@ -57,6 +58,29 @@ def test_coded_count_golden_mean_like():
     assert counts == [2, 3, 5, 8, 13, 21]
     rate = math.log(counts[-1] / counts[-2])
     assert rate == pytest.approx(math.log(GOLDEN), abs=0.02)
+
+
+# Counts of the gap rule g(k) = k for n = 8..25, as the frozenset automaton
+# over (word, position) pairs gave them.
+LINEAR_1_0_COUNTS = (109, 136, 167, 200, 238, 283, 337, 400, 474, 561, 668,
+                     796, 952, 1139, 1367, 1646, 1986, 2401)
+
+
+def test_coded_count_pinned_values():
+    fam = get_family("codedshift:linear:1,0")
+    assert tuple(coded_language_count(fam, n) for n in range(8, 26)) \
+        == LINEAR_1_0_COUNTS
+
+
+def test_oversized_code_words_are_refused_before_they_are_built():
+    # geometric gaps make code words of about 2^65 symbols
+    fam = get_family("codedshift:geometric:1")
+    with pytest.raises(BudgetExceededError):
+        coded_language_count(fam, 3)
+    with pytest.raises(BudgetExceededError):
+        language_membership(fam, (2,))
+    with pytest.raises(BudgetExceededError):
+        symbolic_word_count("codedshift:geometric:1", 3)
 
 
 def test_coded_count_matches_kraft_rate():
