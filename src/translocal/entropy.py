@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import separated
-from .errors import BudgetExceededError
 from .maps import System, log_derivative_sums, toral_eigen_data
 from .separated import separation_prefix_length
 from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
-                     sample_grid, symbolic_grid)
+                     pinned_symbols, sample_grid)
 
 DEFAULT_DELTAS = (0.04, 0.02, 0.01)
 
@@ -31,7 +30,7 @@ class Schedule:
 
     n_values: tuple = (6, 7, 8, 9, 10, 11, 12, 13, 14)
     epsilons: tuple = (0.05, 0.02, 0.01)
-    budget: int = 5_000_000
+    budget: int = 5_000_000        # points of a sampled (disk) cell grid
 
     def __post_init__(self):
         if list(self.n_values) != sorted(self.n_values):
@@ -94,14 +93,19 @@ def _lstsq_slope(window):
 
 def cell_log_count(sys: System, ball: Ball, n: int, eps: float,
                    budget: int) -> tuple[float, bool]:
-    """log of the greedy separated count inside `ball`; flags capped cells."""
+    """log of the (n, eps)-separated count inside `ball`, and whether the
+    cell was capped.
+
+    1D, toral and symbolic cells are counted exactly and never capped; only
+    the sampled grid of any other system (the disk) is bounded by `budget`.
+    """
     space = sys.space
     if space in (CIRCLE, INTERVAL):
         return _cell_1d(sys, ball, n, eps)
     if space == TORUS and sys.matrix is not None:
-        return _cell_toral(sys, ball, n, eps, budget)
+        return _cell_toral(sys, ball, n, eps)
     if space == SYMBOLIC:
-        return _cell_symbolic(sys, ball, n, eps, budget)
+        return _cell_symbolic(sys, ball, n, eps)
     return _cell_generic(sys, ball, n, eps, budget)
 
 
@@ -156,48 +160,37 @@ def _real_eigenbasis(matrix):
     return out
 
 
-def _cell_toral(sys: System, ball: Ball, n: int, eps: float,
-                budget: int) -> tuple[float, bool]:
-    # Sample along expanding eigendirections only; contracting directions
-    # stop contributing separated points once the ball outruns eps.
+def _cell_toral(sys: System, ball: Ball, n: int,
+                eps: float) -> tuple[float, bool]:
+    """Product of the greedy counts along the expanding eigendirections.
+
+    A linear map sends the segment z + t*v (|t| <= r) onto a segment along
+    A^(n-1) v, so its sup-norm image variation is exactly
+    2r * |A^(n-1) v|_inf and the count along it needs no samples.
+    Contracting directions stop contributing separated points once the ball
+    outruns eps.
+    """
     radius = min(ball.radius, 0.5)
-    z = np.asarray(ball.center.coords, dtype=float)
-    dirs = [(m, v) for m, v in _real_eigenbasis(sys.matrix) if m > 1.0 + 1e-12]
-    if not dirs:
-        return 0.0, False
-    per_dir = max(budget // len(dirs), 16)
+    power = np.linalg.matrix_power(np.asarray(sys.matrix, dtype=float), n - 1)
     log_total = 0.0
-    capped = False
-    for modulus, vec in dirs:
-        spacing = min(0.25 * eps, 0.1) * modulus ** (-(n - 1))
-        npts = min(int(2 * radius / spacing) + 1, per_dir)
-        if npts <= 1:
-            continue
-        ts = np.linspace(-radius, radius, npts)
-        coords = (z[None, :] + ts[:, None] * vec[None, :]) % 1.0
-        count, _, share = separated.variation_count(sys, coords, n, eps,
-                                                    wraparound=False)
-        capped = capped or share > 0.02
-        log_total += math.log(count)
-    return log_total, capped
+    for modulus, vec in _real_eigenbasis(sys.matrix):
+        if modulus > 1.0 + 1e-12:
+            tv = 2 * radius * float(np.abs(power @ vec).max())
+            tv *= 1.0 - 1e-12
+            log_total += math.log(int(tv / eps) + 1)
+    return log_total, False
 
 
-def _cell_symbolic(sys: System, ball: Ball, n: int, eps: float,
-                   budget: int) -> tuple[float, bool]:
+def _cell_symbolic(sys: System, ball: Ball, n: int,
+                   eps: float) -> tuple[float, bool]:
+    """k^(free prefix symbols): words are (n, eps)-separated iff they differ
+    within their first `plen` symbols, and the ball pins the first `m_fixed`
+    of them to the centre's.  This is the distinct-prefix count of the word
+    grid at resolution beta^-plen, whose words have max(plen, 1) symbols."""
     m = Metric(SYMBOLIC, alphabet=sys.alphabet or 2)
     plen = separation_prefix_length(n, eps, m.beta)
-    res = m.beta ** (-plen)
-    try:
-        grid = symbolic_grid(Ball(ball.center, min(ball.radius, 1.0)), res, m,
-                             cap=budget)
-        capped = False
-    except BudgetExceededError:
-        grid = symbolic_grid(Ball(ball.center, min(ball.radius, 1.0)),
-                             m.beta ** (-int(math.log(budget) / math.log(m.alphabet))),
-                             m, cap=budget * 2)
-        capped = True
-    q = separated.SeparationQuery(sys, grid, n, eps, metric=m)
-    return math.log(separated.separated_count(q).count), capped
+    free = max(plen - pinned_symbols(ball, m), 0)
+    return math.log(m.alphabet ** free), False
 
 
 def _cell_generic(sys: System, ball: Ball, n: int, eps: float,

@@ -394,7 +394,7 @@ def get_system(spec_id: str) -> System:
         return System(name=spec_id, space=SYMBOLIC, dim=1,
                       alphabet=k, h_top=math.log(k))
     if spec_id.startswith("iterate:"):
-        _, base_id, r = spec_id.split(":")
+        base_id, r = spec_id[len("iterate:"):].rsplit(":", 1)
         return iterate_system(get_system(base_id), int(r))
     raise KeyError(f"unknown system id {spec_id!r}")
 

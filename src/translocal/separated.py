@@ -4,12 +4,12 @@ Two counting paths:
 
 * a pairwise greedy scan (deterministic sample order, admit a point iff its
   Bowen distance to every admitted point exceeds eps) — the reference path;
-* a variation scan for large sorted 1D samples.  For the expanding
-  catalogue maps with eps below the folding scale, the Bowen distance of two
-  nearby sample points equals the accumulated variation of the time-(n-1)
-  image along the sample order, so the greedy walk reduces to threshold
-  crossings of one cumulative sum (cross-checked against the pairwise path
-  on shared small cases).
+* a variation scan for large sorted 1D (circle or interval) samples.  For
+  the expanding catalogue maps with eps below the folding scale, the Bowen
+  distance of two nearby sample points equals the accumulated variation of
+  the time-(n-1) image along the sample order, so the greedy walk reduces
+  to threshold crossings of one cumulative sum (cross-checked against the
+  pairwise path on shared small cases).
 
 Symbolic samples are counted exactly via distinct-prefix counting.
 """
@@ -177,9 +177,9 @@ def pairwise_count(sys: System, coords: np.ndarray, n: int, eps: float,
 def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
                     strict: bool = True, wraparound: bool | None = None
                     ) -> tuple[int, int, float]:
-    """Variation-scan greedy for sorted 1D samples, plus the share of image
-    variation near the folding scale (large share means the sample
-    undersamples the image and the count is unreliable).
+    """Variation-scan greedy for sorted circle or interval samples, plus the
+    share of image variation near the folding scale (large share means the
+    sample undersamples the image and the count is unreliable).
 
     For expanding maps the Bowen distance of nearby ordered points is the
     accumulated time-(n-1) image variation, so the greedy walk is a sequence
@@ -195,7 +195,7 @@ def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
         wraparound = _covers_circle(sys, coords)
     final = _final_images(sys, coords, n)
     gaps = np.abs(np.diff(final, axis=0))
-    if sys.space in (CIRCLE, TORUS):
+    if sys.space == CIRCLE:
         gaps = gaps % 1.0
         gaps = np.minimum(gaps, 1.0 - gaps)
     steps = gaps.max(axis=1)
@@ -203,7 +203,7 @@ def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
     # refinement check: if the half-resolution subsample sees less
     # variation, the sample has not resolved the image yet
     half = np.abs(np.diff(final[::2], axis=0))
-    if sys.space in (CIRCLE, TORUS):
+    if sys.space == CIRCLE:
         half = half % 1.0
         half = np.minimum(half, 1.0 - half)
     tv_half = float(half.max(axis=1).sum())
@@ -229,7 +229,7 @@ def _final_images(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
         for _ in range(n - 1):
             cur = sys.step_many(cur)
         out[lo:lo + _BLOCK] = cur
-    return _embed(sys.space, out[:, None, :])[:, 0, :]
+    return out
 
 
 def _covers_circle(sys: System, coords: np.ndarray) -> bool:

@@ -226,18 +226,24 @@ def symbolic_grid(ball: Ball, resolution: float, metric: Metric,
     return _symbolic_grid(ball, resolution, metric, cap)
 
 
+def pinned_symbols(ball: Ball, metric: Metric) -> int:
+    """How many leading symbols of the centre every word of a symbolic ball
+    shares, as fixed by the ball's radius."""
+    if ball.radius >= 1.0:
+        return 0
+    beta = metric.beta
+    m_fixed = math.ceil(math.log(1.0 / ball.radius) / math.log(beta) - _EPS)
+    if not ball.closed and beta ** (-m_fixed) >= ball.radius:
+        m_fixed += 1
+    return min(m_fixed, len(ball.center.word))
+
+
 def _symbolic_grid(ball: Ball, resolution: float, metric: Metric, cap: int) -> Grid:
     beta, k = metric.beta, metric.alphabet
     # Words of length L resolve distances down to `resolution`; the first
     # `m_fixed` symbols are pinned by the ball's radius.
     length = max(1, math.ceil(math.log(1.0 / resolution) / math.log(beta) - _EPS))
-    if ball.radius >= 1.0:
-        m_fixed = 0
-    else:
-        m_fixed = math.ceil(math.log(1.0 / ball.radius) / math.log(beta) - _EPS)
-        if not ball.closed and beta ** (-m_fixed) >= ball.radius:
-            m_fixed += 1
-    m_fixed = min(m_fixed, len(ball.center.word))
+    m_fixed = pinned_symbols(ball, metric)
     free = max(0, length - m_fixed)
     _check_budget(k ** free, cap)
     prefix = ball.center.word[:m_fixed]

@@ -197,9 +197,11 @@ def _position_table(fam: CodeWordFamily):
     return [fam.code_word(k) for k in range(1, fam.word_count() + 1)]
 
 
+@lru_cache(maxsize=16)
 def _automaton(fam: CodeWordFamily):
     """Start state and transition of the determinized automaton over in-word
-    positions of the code words.
+    positions of the code words, built once per family (an over-budget
+    family raises on every call, since exceptions are not cached).
 
     The code words are laid end to end, so position p of the concatenation
     is bit p of a Python int, and a state is the int whose set bits are the
@@ -237,20 +239,18 @@ def coded_language_count(fam: CodeWordFamily, n: int) -> int:
     if n == 0:
         return 1
     starts, step = _automaton(fam)
-    alphabet = fam.alphabet
-
-    @lru_cache(maxsize=None)
-    def count(state: int, m: int) -> int:
-        if m == 0:
-            return 1
-        total = 0
-        for symbol in range(alphabet):
-            nxt = step(state, symbol)
-            if nxt:
-                total += count(nxt, m - 1)
-        return total
-
-    return count(starts, n)
+    symbols = range(fam.alphabet)
+    # live states after m symbols, each with the number of words reaching it
+    layer = {starts: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for state, mult in layer.items():
+            for symbol in symbols:
+                after = step(state, symbol)
+                if after:
+                    nxt[after] = nxt.get(after, 0) + mult
+        layer = nxt
+    return sum(layer.values())
 
 
 def language_membership(fam: CodeWordFamily, wrd) -> bool:

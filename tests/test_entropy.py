@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from translocal import entropy
 from translocal.entropy import (DEFAULT_SCHEDULE, Schedule, cell_log_count,
                                 growth_rate, lyapunov_exponent,
                                 restricted_entropy, toral_translocal,
                                 translocal_entropy, yz_entropy_function)
 from translocal.maps import (get_system, iterate_system, log_derivative_sum,
                              toral_eigen_data)
-from translocal.spaces import Ball, circle, interval, word
+from translocal.spaces import Ball, circle, interval, torus, word
 
 LOG3 = math.log(3.0)
 
@@ -106,30 +105,32 @@ def test_translocal_rejects_negative_omega():
         translocal_entropy(sys, circle(0.1), -0.2)
 
 
-def test_symbolic_cell_over_budget_is_capped():
+def test_symbolic_cell_is_exact_beyond_the_budget():
+    # 2^14 words of 14 symbols, far more than the budget of 64: n = 10 and
+    # eps = 0.01 separate words that differ within 9 + log(100) symbols
     sys = get_system("fullshift:2")
     ball = Ball(word([0] * 24), 1.0)
     logc, capped = cell_log_count(sys, ball, 10, 0.01, budget=64)
-    assert capped
-    assert 0.0 < logc <= math.log(128)
+    assert not capped
+    assert logc == math.log(2 ** 14)
     sched = Schedule((6, 7, 8, 9), (0.05,), budget=64)
     est = restricted_entropy(sys, ball, sched)
-    assert est.warning is not None
+    assert est.warning is None
+    assert est.value == pytest.approx(math.log(2))
 
 
-def test_symbolic_cell_propagates_other_errors(monkeypatch):
-    real, calls = entropy.symbolic_grid, []
-
-    def fails_once(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            raise RuntimeError("grid failure")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(entropy, "symbolic_grid", fails_once)
-    with pytest.raises(RuntimeError, match="grid failure"):
-        cell_log_count(get_system("fullshift:2"), Ball(word([0] * 8), 1.0),
-                       4, 0.05, budget=1000)
+def test_toral_cell_is_exact_beyond_the_budget():
+    # about 350,000 separated points along the unstable direction, far more
+    # than the budget of 64, which must not change the count
+    sys = get_system("cat")
+    ball = Ball(torus(0.1, 0.2), 0.3)
+    small = cell_log_count(sys, ball, 10, 0.01, budget=64)
+    large = cell_log_count(sys, ball, 10, 0.01, budget=5_000_000)
+    assert small == large
+    assert not small[1]
+    stretch = ((1 + math.sqrt(5)) / 2) ** 2
+    assert small[0] == pytest.approx(
+        math.log(2 * 0.3 * stretch ** 9 / 0.01), rel=0.01)
 
 
 def test_nested_iterate_whole_circle_entropy():

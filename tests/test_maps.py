@@ -78,6 +78,14 @@ def test_iterate_matches_composition():
     assert sys2.h_top == pytest.approx(2 * LOG3)
 
 
+def test_iterate_ids_of_parameterised_systems():
+    cat2 = get_system("iterate:toral:2,1;1,1:2")
+    assert cat2.matrix == ((5, 3), (3, 2))
+    assert cat2.power == 2
+    with pytest.raises(ValueError, match="iterate shifts by composing"):
+        get_system("iterate:fullshift:2:2")
+
+
 def test_log_derivative_sum_uniform_expansion():
     sys = get_system("tripling")
     assert log_derivative_sum(sys, circle(0.1234), 6) == pytest.approx(6 * LOG3)

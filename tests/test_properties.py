@@ -1,15 +1,18 @@
-"""Hypothesis properties of the exact branch pushforward and of coded-shift
-language counts."""
+"""Hypothesis properties of the exact branch pushforward, of the closed-form
+toral and full-shift cells, and of coded-shift language counts."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from translocal.entropy import _real_eigenbasis, cell_log_count
 from translocal.maps import catalogue_ids, get_system
-from translocal.separated import exact_variation
-from translocal.spaces import CIRCLE, INTERVAL
+from translocal.separated import exact_variation, separation_prefix_length
+from translocal.spaces import (CIRCLE, INTERVAL, SYMBOLIC, Ball, Metric,
+                               symbolic_grid, torus, word)
 from translocal.symbolic import (coded_language_count, get_family,
                                  language_membership)
 
@@ -69,6 +72,67 @@ def test_staircase_variation_sums_its_bands(power, n):
         (2 * m + 1) ** k * 2.0 ** -m for m in range(1, STAIRCASE_LEVELS + 1))
     assert exact_variation(_system("staircase", power), 0.0, 1.0, n) \
         == pytest.approx(expected, rel=1e-12)
+
+
+def _line_scan_log_count(sys, ball, n, eps):
+    """The sampled toral cell the closed form replaced: a uniform line scan
+    along each expanding direction, fine enough that every image gap is
+    below eps/4, counted from the wrapped sup-norm gap sum."""
+    radius = min(ball.radius, 0.5)
+    z = np.asarray(ball.center.coords, dtype=float)
+    total = 0.0
+    for modulus, vec in _real_eigenbasis(sys.matrix):
+        if modulus <= 1.0 + 1e-12:
+            continue
+        spacing = min(0.25 * eps, 0.1) * modulus ** (-(n - 1))
+        npts = int(2 * radius / spacing) + 1
+        if npts <= 1:
+            continue
+        ts = np.linspace(-radius, radius, npts)
+        images = (z[None, :] + ts[:, None] * vec[None, :]) % 1.0
+        for _ in range(n - 1):
+            images = sys.step_many(images)
+        gaps = np.abs(np.diff(images, axis=0)) % 1.0
+        tv = float(np.minimum(gaps, 1.0 - gaps).max(axis=1).sum())
+        tv *= 1.0 - 1e-12
+        total += math.log(int(tv / eps) + 1)
+    return total
+
+
+# the largest n keeps each scan below about 10^6 points
+@pytest.mark.parametrize("sys_id,n_max", [("cat", 7), ("toral:2,0;0,3", 7),
+                                          ("iterate:cat:2", 4)])
+@PROPERTY
+@given(x=st.floats(0.0, 1.0, exclude_max=True),
+       y=st.floats(0.0, 1.0, exclude_max=True),
+       radius=st.floats(1e-3, 0.75), eps=st.floats(0.01, 0.1),
+       n=st.integers(1, 7))
+def test_toral_cell_equals_the_line_scan(sys_id, n_max, x, y, radius, eps, n):
+    sys = get_system(sys_id)
+    n = min(n, n_max)
+    ball = Ball(torus(x, y), radius)
+    logc, capped = cell_log_count(sys, ball, n, eps, budget=64)
+    assert not capped
+    assert logc == _line_scan_log_count(sys, ball, n, eps)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@PROPERTY
+@given(data=st.data(), closed=st.booleans(), n=st.integers(1, 6),
+       eps=st.floats(0.05, 0.9),
+       radius=st.one_of(st.floats(1e-3, 1.5),
+                        st.sampled_from([1.0, math.e ** -1, math.e ** -2])))
+def test_fullshift_cell_counts_the_grid_prefixes(k, data, closed, n, eps,
+                                                 radius):
+    center = word(data.draw(st.lists(st.integers(0, k - 1), max_size=6)))
+    ball = Ball(center, radius, closed)
+    logc, capped = cell_log_count(get_system(f"fullshift:{k}"), ball, n, eps,
+                                  budget=64)
+    m = Metric(SYMBOLIC, alphabet=k)
+    plen = separation_prefix_length(n, eps, m.beta)
+    grid = symbolic_grid(ball, m.beta ** (-plen), m)
+    assert not capped
+    assert logc == math.log(len({w[:plen] for w in grid.words}))
 
 
 @PROPERTY

@@ -72,6 +72,12 @@ def test_coded_count_pinned_values():
         == LINEAR_1_0_COUNTS
 
 
+def test_coded_count_is_not_bounded_by_the_recursion_limit():
+    # "0" and "1" as code words make the full 2-shift
+    fam = get_family("codedshift:words:0,1")
+    assert coded_language_count(fam, 600) == 2 ** 600
+
+
 def test_oversized_code_words_are_refused_before_they_are_built():
     # geometric gaps make code words of about 2^65 symbols
     fam = get_family("codedshift:geometric:1")
@@ -81,6 +87,13 @@ def test_oversized_code_words_are_refused_before_they_are_built():
         language_membership(fam, (2,))
     with pytest.raises(BudgetExceededError):
         symbolic_word_count("codedshift:geometric:1", 3)
+
+
+def test_memoised_automaton_refuses_on_every_call():
+    fam = get_family("codedshift:geometric:1")
+    for _ in range(3):
+        with pytest.raises(BudgetExceededError):
+            language_membership(fam, (2,))
 
 
 def test_coded_count_matches_kraft_rate():
