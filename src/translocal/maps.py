@@ -173,12 +173,14 @@ def _g_log_slope(x):
 
 def _pm_step(x):
     x = x[..., 0] if x.ndim > 1 else x
-    y = np.where(x < 0.5, x / (1.0 - x), 2.0 * x - 1.0)
+    # both branches are evaluated; the guards change only the discarded one
+    y = np.where(x < 0.5, x / np.maximum(1.0 - x, 0.5), 2.0 * x - 1.0)
     return np.clip(y, 0.0, 1.0)
 
 
 def _pm_log_slope(x):
-    return np.where(x < 0.5, -2.0 * np.log1p(-x), math.log(2.0))
+    return np.where(x < 0.5, -2.0 * np.log1p(-np.minimum(x, 0.5)),
+                    math.log(2.0))
 
 
 def _sqrt_step(x):

@@ -2,8 +2,10 @@
 rates from measure decay, and local/translocal pressure estimates.
 
 Closed forms are used wherever they exist (interval lengths, cylinder
-masses, Dirac membership, one-sided bisection for expanding 1D maps); a
-deterministic quasi-Monte-Carlo fallback covers the rest.
+masses, Dirac membership); Lebesgue Bowen balls of circle maps are measured
+by bisecting each side, with every bisection of an n-window advancing in
+lockstep, one orbit pass per round; a deterministic quasi-Monte-Carlo
+fallback covers the rest.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point,
 
 _QMC_POINTS = 1 << 14
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
+_BISECTION_STEPS = 60            # halvings of [0, eps] per Bowen-ball side
+_TREE_DEPTH = 6                  # of them decided per orbit pass
 
 
 @dataclass(frozen=True)
@@ -211,39 +215,78 @@ def bowen_ball_measure(sys: System, mu: Measure, x: Point, n: int,
             mass *= mu.p[x.word[i]]
         return mass
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:
-        left = _one_sided_extent(sys, x, n, eps, -1.0)
-        right = _one_sided_extent(sys, x, n, eps, +1.0)
-        return min(left + right, 1.0)
+        return min(_bowen_extents(sys, x, (n,), eps)[0], 1.0)
     if mu.variant == "lebesgue-torus" and sys.matrix is not None:
         return _toral_bowen_measure(sys, x, n, eps)
     return _sampled_bowen_measure(sys, mu, x, n, eps)
 
 
-def _one_sided_extent(sys: System, x: Point, n: int, eps: float,
-                      sign: float) -> float:
-    """Largest t with Bowen distance between x and x + sign*t below eps.
+def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
+                  eps: float) -> list[float]:
+    """`bowen_ball_measure` for each n of a window; the Lebesgue masses on
+    the circle come from one `_bowen_extents` call."""
+    if mu.variant != "lebesgue-circle" or sys.space != CIRCLE:
+        return [bowen_ball_measure(sys, mu, x, n, eps) for n in n_values]
+    long = [n for n in n_values if n > 1]
+    extents = iter(_bowen_extents(sys, x, long, eps) if long else ())
+    return [min(next(extents), 1.0) if n > 1
+            else bowen_ball_measure(sys, mu, x, n, eps) for n in n_values]
 
-    Valid for expanding maps, where the distance grows monotonically in t
-    until it exceeds eps.
+
+def _bowen_extents(sys: System, x: Point, n_values,
+                   eps: float) -> list[float]:
+    """Arc length of the Bowen ball {y : d(f^j x, f^j y) < eps, j < n}
+    around a circle point x, for each n of `n_values`, not capped at 1.
+
+    Circle systems only.  Each side is bisected for the largest t with
+    d_n(x, x +- t) < eps, which assumes that distance grows monotonically in
+    t until it passes eps (true for expanding maps); a side whose distance at
+    t = eps is already below eps has extent eps.  The 2*len(n_values)
+    bisections run in lockstep: each round evaluates the next `_TREE_DEPTH`
+    levels of every bisection's midpoint tree in one orbit pass of length
+    max(n), then walks each tree along its own verdicts.  Midpoints and
+    verdicts are those of a sequential 60-step bisection, so the extents
+    equal its result bit for bit.
     """
     c = x.coords[0]
-    lo, hi = 0.0, eps
-    point = spaces.circle if sys.space == CIRCLE else spaces.interval
+    n_values = np.asarray(n_values)
+    n_max = int(n_values.max())
+    ref = orbit_coords(sys, np.asarray([x.coords]), n_max)[0, :, 0]
+    sign = np.repeat([-1.0, 1.0], len(n_values))[:, None]
+    last = np.tile(n_values, 2)[:, None, None] - 1
+    rows = np.arange(sign.shape[0])
 
-    def dist(t):
-        y = (c + sign * t) % 1.0 if sys.space == CIRCLE \
-            else min(max(c + sign * t, 0.0), 1.0)
-        return separated.bowen_distance(sys, x, point(y), n)
+    def below(t):
+        # d_n(x, x + sign*t) < eps per entry of t (rows, w).  The second
+        # reduction is that of spaces.circle: a tiny negative sum gives 1.0.
+        y = (c + sign * t) % 1.0 % 1.0
+        orb = orbit_coords(sys, y.reshape(-1, 1), n_max).reshape(
+            *t.shape, n_max)
+        diff = np.abs(ref - orb) % 1.0
+        run = np.maximum.accumulate(np.minimum(diff, 1.0 - diff), axis=-1)
+        return np.take_along_axis(run, last, axis=-1)[..., 0] < eps
 
-    if dist(hi) < eps:
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dist(mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    hi = np.full(len(rows), float(eps))
+    lo = np.zeros(len(rows))
+    at_eps = below(hi[:, None])[:, 0]
+    for _ in range(_BISECTION_STEPS // _TREE_DEPTH):
+        los, his, mids = lo[:, None], hi[:, None], []
+        for _ in range(_TREE_DEPTH):
+            mid = 0.5 * (los + his)
+            mids.append(mid)
+            # children 2i (verdict false: hi = mid) and 2i+1 (lo = mid)
+            los = np.stack([los, mid], axis=-1).reshape(len(rows), -1)
+            his = np.stack([mid, his], axis=-1).reshape(len(rows), -1)
+        t = np.concatenate(mids, axis=1)
+        ok = below(t)
+        node = np.zeros(len(rows), dtype=int)
+        for level in range(_TREE_DEPTH):
+            at = (rows, (1 << level) - 1 + node)
+            lo = np.where(ok[at], t[at], lo)
+            hi = np.where(ok[at], hi, t[at])
+            node = 2 * node + ok[at]
+    side = np.where(at_eps, float(eps), lo)
+    return (side[:len(n_values)] + side[len(n_values):]).tolist()
 
 
 def _toral_bowen_measure(sys: System, x: Point, n: int, eps: float) -> float:
@@ -323,8 +366,8 @@ def local_pressure(sys: System, mu: Measure, pot: Potential, x: Point,
 
     def series(eps):
         out = []
-        for n in sched.n_values:
-            v = bowen_ball_measure(sys, mu, x, n, eps)
+        masses = _bowen_masses(sys, mu, x, sched.n_values, eps)
+        for n, v in zip(sched.n_values, masses):
             phi = birkhoff_sum(pot, sys, x, n)
             out.append((n, math.inf if v == 0.0 else phi - math.log(v)))
         return out

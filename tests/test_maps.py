@@ -1,5 +1,6 @@
 """Catalogue map definitions, derivatives, iterates, and branch data."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def test_pomeau_manneville_neutral_fixed_point():
     assert evaluate(sys, interval(0.25)).coords[0] == pytest.approx(1.0 / 3.0)
     assert evaluate(sys, interval(0.0)).coords[0] == 0.0
     assert sys.log_slope_many(np.asarray([0.0]))[0] == pytest.approx(0.0)
+
+
+def test_pomeau_manneville_is_quiet_at_the_right_endpoint():
+    sys = get_system("pomeau-manneville")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(sys, interval(1.0)).coords[0] == 1.0
+        assert log_derivative_sum(sys, interval(1.0), 3) \
+            == pytest.approx(3 * math.log(2.0))
 
 
 def test_sqrtmap_left_branch():

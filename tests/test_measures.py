@@ -1,4 +1,6 @@
 """Reference measures, ball masses, and local decay rates."""
+import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 import translocal
-from translocal.entropy import Schedule
-from translocal.maps import (ZERO_POTENTIAL, catalogue_ids, get_potential,
-                             get_system, iterate_system)
+from translocal import measures, separated
+from translocal.entropy import DEFAULT_SCHEDULE, Schedule
+from translocal.maps import (ZERO_POTENTIAL, birkhoff_sum, catalogue_ids,
+                             get_potential, get_system, iterate_system)
 from translocal.measures import (_halton, ball_measure, bowen_ball_measure,
                                  brin_katok, certified_invariant, get_measure,
                                  local_pressure, qmc_ball_measure,
@@ -123,6 +126,85 @@ def test_bowen_ball_measure_tripling_exact():
     n, eps = 8, 0.01
     mass = bowen_ball_measure(sys, mu, circle(0.3), n, eps)
     assert mass == pytest.approx(2 * eps * 3.0 ** -(n - 1), rel=1e-5)
+
+
+def _ref_one_sided_extent(sys, x, n, eps, sign):
+    """The sequential bisection: one Bowen-distance probe per halving."""
+    c = x.coords[0]
+    lo, hi = 0.0, eps
+
+    def dist(t):
+        return separated.bowen_distance(sys, x, circle((c + sign * t) % 1.0),
+                                        n)
+
+    if dist(hi) < eps:
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dist(mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_bowen_ball_measure(sys, mu, x, n, eps):
+    if n == 1:
+        return ball_measure(mu, Ball(x, eps, closed=False))
+    left = _ref_one_sided_extent(sys, x, n, eps, -1.0)
+    right = _ref_one_sided_extent(sys, x, n, eps, +1.0)
+    return min(left + right, 1.0)
+
+
+def _ref_local_pressure(sys, mu, pot, x, sched=DEFAULT_SCHEDULE):
+    def series(eps):
+        return [(n, birkhoff_sum(pot, sys, x, n)
+                 - math.log(_ref_bowen_ball_measure(sys, mu, x, n, eps)))
+                for n in sched.n_values]
+
+    ests = measures._rate_pair(series, sched.epsilons)
+    return measures._pair(ests, x, pot.kind, None)
+
+
+@pytest.mark.parametrize("sys_id", ["tripling", "g3branch", "identity",
+                                    "iterate:tripling:2",
+                                    "iterate:g3branch:2"])
+def test_bowen_ball_measure_equals_the_sequential_bisection(sys_id):
+    # eps = 0.6 exceeds every circle distance: the early return at t = eps
+    sys, mu = get_system(sys_id), get_measure("lebesgue-circle")
+    x = circle(0.123456789)
+    for eps in (0.01, 0.05, 0.2, 0.6):
+        for n in range(1, 15):
+            assert bowen_ball_measure(sys, mu, x, n, eps) \
+                == _ref_bowen_ball_measure(sys, mu, x, n, eps), (eps, n)
+
+
+@pytest.mark.parametrize("sys_id", ["tripling", "g3branch"])
+def test_local_pressure_equals_the_sequential_bisection(sys_id):
+    sys, mu = get_system(sys_id), get_measure("lebesgue-circle")
+    x = circle(0.71)
+    assert brin_katok(sys, mu, x) \
+        == _ref_local_pressure(sys, mu, ZERO_POTENTIAL, x)
+    pot = get_potential("geometric:1")
+    assert local_pressure(sys, mu, pot, x) \
+        == _ref_local_pressure(sys, mu, pot, x)
+
+
+def test_brin_katok_steps_each_bisection_round_once():
+    # per eps: x's orbit, the probes at t = eps, and ten rounds of six levels
+    base = get_system("tripling")
+    calls = []
+
+    def step_many(coords):
+        calls.append(len(coords))
+        return base.step_many(coords)
+
+    sys = dataclasses.replace(base, step_many=step_many)
+    brin_katok(sys, get_measure("lebesgue-circle"), circle(0.3))
+    sched = DEFAULT_SCHEDULE
+    assert 0 < len(calls) \
+        <= len(sched.epsilons) * 12 * (max(sched.n_values) - 1)
 
 
 def test_bowen_ball_measure_bernoulli_cylinder():

@@ -1,5 +1,6 @@
 """Hypothesis properties of the exact branch pushforward, of the closed-form
-toral and full-shift cells, and of coded-shift language counts."""
+toral and full-shift cells, of coded-shift language counts, and of
+Bowen-ball masses."""
 import itertools
 import math
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from translocal.entropy import _real_eigenbasis, cell_log_count
 from translocal.maps import catalogue_ids, get_system
+from translocal.measures import bowen_ball_measure, get_measure
 from translocal.separated import exact_variation, separation_prefix_length
 from translocal.spaces import (CIRCLE, INTERVAL, SYMBOLIC, Ball, Metric,
-                               symbolic_grid, torus, word)
+                               circle, symbolic_grid, torus, word)
 from translocal.symbolic import (coded_language_count, get_family,
                                  language_membership)
 
@@ -145,3 +147,14 @@ def test_coded_count_counts_member_words(words, n):
     members = sum(language_membership(fam, w)
                   for w in itertools.product(range(fam.alphabet), repeat=n))
     assert coded_language_count(fam, n) == members
+
+
+@PROPERTY
+@given(x=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(1, 14),
+       eps=st.floats(0.001, 0.15))
+def test_tripling_bowen_ball_mass_is_the_pulled_back_arc(x, n, eps):
+    # the ball is the arc of half-width eps * 3^-(n-1) around x
+    mass = bowen_ball_measure(get_system("tripling"),
+                              get_measure("lebesgue-circle"), circle(x), n,
+                              eps)
+    assert mass == pytest.approx(2.0 * eps * 3.0 ** -(n - 1), rel=1e-7)
