@@ -3,10 +3,13 @@ function with small closed neighbourhoods, upper/lower translocal entropy on
 balls shrinking like exp(-omega*n), Lyapunov exponents and the closed-form
 toral value.
 
-Every limsup/liminf is replaced by a finite surrogate: least-squares slopes
-of log separated counts over windows in the tail of the n-schedule (upper =
-max window slope, lower = min), with the eps-ladder handled by reporting the
-smallest-eps value together with the first-difference trend.
+Every limsup/liminf is replaced by a finite surrogate: closed-form
+least-squares slopes of log separated counts over windows in the tail of the
+n-schedule (upper = max window slope, lower = min), with the eps-ladder
+handled by reporting the smallest-eps value together with the first-difference
+trend.  The estimators walk the n-schedule on the outside: each (ball, n)
+cell is built once and counted for every eps of the schedule, since a 1D or
+toral cell's image variation does not depend on eps.
 """
 from __future__ import annotations
 
@@ -33,8 +36,9 @@ class Schedule:
     budget: int = 5_000_000        # points of a sampled (disk) cell grid
 
     def __post_init__(self):
-        if list(self.n_values) != sorted(self.n_values):
-            raise ValueError("n_values must be ascending")
+        ns = self.n_values
+        if any(n < 1 for n in ns) or any(a >= b for a, b in zip(ns, ns[1:])):
+            raise ValueError("n_values must be strictly ascending and >= 1")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):
             raise ValueError("epsilons must be descending")
         if self.budget <= 0:
@@ -63,6 +67,7 @@ def growth_rate(log_counts, mode: str = "limsup", clamp: bool = False,
     pts = sorted((int(n), float(v)) for n, v in log_counts)
     if len(pts) < 3:
         raise ValueError("growth_rate needs at least 3 data points")
+    _require_distinct([n for n, _ in pts])
     tail = pts[-max(3, (len(pts) + 1) // 2):]
     best = None
     for width in range(max(3, len(tail) - 1), len(tail) + 1):
@@ -78,39 +83,57 @@ def growth_rate(log_counts, mode: str = "limsup", clamp: bool = False,
     return RateEstimate(value, win, eps, resid, mode)
 
 
+def _require_distinct(n_values) -> None:
+    """Reject a window with a repeated n or with a single n: its n-spread is
+    0, so it has no least-squares slope."""
+    if len(n_values) < 2 or len(set(n_values)) != len(n_values):
+        raise ValueError(
+            f"window {tuple(n_values)} needs two or more distinct n")
+
+
 def _lstsq_slope(window):
-    ns = np.array([n for n, _ in window], dtype=float)
-    ys = np.array([v for _, v in window])
-    a = np.stack([ns, np.ones_like(ns)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(a, ys, rcond=None)
-    resid = float(np.sqrt(np.mean((a @ coef - ys) ** 2)))
-    return float(coef[0]), resid
+    """Least-squares slope of (n, y) pairs with distinct n, and the RMS
+    residual of the fitted line."""
+    k = len(window)
+    n_bar = sum(n for n, _ in window) / k
+    y_bar = sum(y for _, y in window) / k
+    sxx = sum((n - n_bar) ** 2 for n, _ in window)
+    slope = sum((n - n_bar) * (y - y_bar) for n, y in window) / sxx
+    sse = sum((y_bar + slope * (n - n_bar) - y) ** 2 for n, y in window)
+    return slope, math.sqrt(sse / k)
 
 
 # ---------------------------------------------------------------------------
-# Separation curves (one cell per (n, eps))
+# Separation curves (one cell per (ball, n), counted for every eps)
 # ---------------------------------------------------------------------------
 
 def cell_log_count(sys: System, ball: Ball, n: int, eps: float,
                    budget: int) -> tuple[float, bool]:
     """log of the (n, eps)-separated count inside `ball`, and whether the
-    cell was capped.
+    cell was capped: `cell_log_counts` for the one eps."""
+    return cell_log_counts(sys, ball, n, (eps,), budget)[0]
+
+
+def cell_log_counts(sys: System, ball: Ball, n: int, epsilons,
+                    budget: int) -> list[tuple[float, bool]]:
+    """[(log of the (n, eps)-separated count inside `ball`, capped)] for
+    each eps of `epsilons`; the eps-free part of the cell is built once.
 
     1D, toral and symbolic cells are counted exactly and never capped; only
     the sampled grid of any other system (the disk) is bounded by `budget`.
     """
     space = sys.space
     if space in (CIRCLE, INTERVAL):
-        return _cell_1d(sys, ball, n, eps)
+        return _cell_1d(sys, ball, n, epsilons)
     if space == TORUS and sys.matrix is not None:
-        return _cell_toral(sys, ball, n, eps)
+        return _cell_toral(sys, ball, n, epsilons)
     if space == SYMBOLIC:
-        return _cell_symbolic(sys, ball, n, eps)
-    return _cell_generic(sys, ball, n, eps, budget)
+        return _cell_symbolic(sys, ball, n, epsilons)
+    return [_cell_generic(sys, ball, n, eps, budget) for eps in epsilons]
 
 
 def _cell_1d(sys: System, ball: Ball, n: int,
-             eps: float) -> tuple[float, bool]:
+             epsilons) -> list[tuple[float, bool]]:
     # exact count from the branch pushforward; never capped
     radius = min(ball.radius, 0.5) if sys.space == CIRCLE else ball.radius
     c = ball.center.coords[0]
@@ -133,8 +156,8 @@ def _cell_1d(sys: System, ball: Ball, n: int,
         tv = separated.exact_variation(sys, max(c - radius, 0.0),
                                        min(c + radius, 1.0), n)
     tv *= 1.0 - 1e-12
-    count = max(int(tv / eps), 1) if wrap else int(tv / eps) + 1
-    return math.log(count), False
+    return [(math.log(max(int(tv / eps), 1) if wrap else int(tv / eps) + 1),
+             False) for eps in epsilons]
 
 
 def _real_eigenbasis(matrix):
@@ -161,7 +184,7 @@ def _real_eigenbasis(matrix):
 
 
 def _cell_toral(sys: System, ball: Ball, n: int,
-                eps: float) -> tuple[float, bool]:
+                epsilons) -> list[tuple[float, bool]]:
     """Product of the greedy counts along the expanding eigendirections.
 
     A linear map sends the segment z + t*v (|t| <= r) onto a segment along
@@ -172,25 +195,31 @@ def _cell_toral(sys: System, ball: Ball, n: int,
     """
     radius = min(ball.radius, 0.5)
     power = np.linalg.matrix_power(np.asarray(sys.matrix, dtype=float), n - 1)
-    log_total = 0.0
-    for modulus, vec in _real_eigenbasis(sys.matrix):
-        if modulus > 1.0 + 1e-12:
-            tv = 2 * radius * float(np.abs(power @ vec).max())
-            tv *= 1.0 - 1e-12
+    tvs = [2 * radius * float(np.abs(power @ vec).max()) * (1.0 - 1e-12)
+           for modulus, vec in _real_eigenbasis(sys.matrix)
+           if modulus > 1.0 + 1e-12]
+    out = []
+    for eps in epsilons:
+        log_total = 0.0
+        for tv in tvs:
             log_total += math.log(int(tv / eps) + 1)
-    return log_total, False
+        out.append((log_total, False))
+    return out
 
 
 def _cell_symbolic(sys: System, ball: Ball, n: int,
-                   eps: float) -> tuple[float, bool]:
+                   epsilons) -> list[tuple[float, bool]]:
     """k^(free prefix symbols): words are (n, eps)-separated iff they differ
     within their first `plen` symbols, and the ball pins the first `m_fixed`
     of them to the centre's.  This is the distinct-prefix count of the word
     grid at resolution beta^-plen, whose words have max(plen, 1) symbols."""
     m = Metric(SYMBOLIC, alphabet=sys.alphabet or 2)
-    plen = separation_prefix_length(n, eps, m.beta)
-    free = max(plen - pinned_symbols(ball, m), 0)
-    return math.log(m.alphabet ** free), False
+    m_fixed = pinned_symbols(ball, m)
+    out = []
+    for eps in epsilons:
+        free = max(separation_prefix_length(n, eps, m.beta) - m_fixed, 0)
+        out.append((math.log(m.alphabet ** free), False))
+    return out
 
 
 def _cell_generic(sys: System, ball: Ball, n: int, eps: float,
@@ -211,17 +240,18 @@ def _cell_generic(sys: System, ball: Ball, n: int, eps: float,
     return math.log(count), capped
 
 
-def separation_curve(sys: System, ball_for_n, n_values, eps: float,
-                     budget: int):
-    """[(n, log count, capped)] with an n-dependent ball."""
-    out = []
-    for n in n_values:
+def _separation_curves(sys: System, ball_for_n, sched: Schedule):
+    """One [(n, log count, capped)] curve per eps of the schedule, with an
+    n-dependent ball; each (ball, n) cell is built once for all eps."""
+    curves = [[] for _ in sched.epsilons]
+    for n in sched.n_values:
         ball = ball_for_n(n)
         if ball is None:
             continue
-        logc, capped = cell_log_count(sys, ball, n, eps, budget)
-        out.append((n, logc, capped))
-    return out
+        cells = cell_log_counts(sys, ball, n, sched.epsilons, sched.budget)
+        for curve, (logc, capped) in zip(curves, cells):
+            curve.append((n, logc, capped))
+    return curves
 
 
 def _rate_from_curve(curve, mode, clamp, eps):
@@ -244,12 +274,9 @@ def _rate_from_curve(curve, mode, clamp, eps):
 def restricted_entropy(sys: System, region: Ball,
                        sched: Schedule = DEFAULT_SCHEDULE) -> RateEstimate:
     """Growth rate of separated counts inside a fixed compact ball."""
-    per_eps = []
-    for eps in sched.epsilons:
-        curve = separation_curve(sys, lambda n: region, sched.n_values, eps,
-                                 sched.budget)
-        per_eps.append(_rate_from_curve(curve, "limsup", False, eps))
-    return _with_eps_trend(per_eps)
+    curves = _separation_curves(sys, lambda n: region, sched)
+    return _with_eps_trend([_rate_from_curve(curve, "limsup", False, eps)
+                            for curve, eps in zip(curves, sched.epsilons)])
 
 
 def _with_eps_trend(per_eps):
@@ -268,16 +295,14 @@ def yz_entropy_function(sys: System, x: Point,
     the restricted growth rate, with eps -> 0 taken last."""
     if list(deltas) != sorted(deltas, reverse=True):
         raise ValueError("delta ladder must be descending")
-    per_eps = []
-    for eps in sched.epsilons:
-        best = None
-        for delta in deltas:
-            curve = separation_curve(sys, lambda n: Ball(x, delta),
-                                     sched.n_values, eps, sched.budget)
+    per_eps = [None] * len(sched.epsilons)
+    for delta in deltas:
+        ball = Ball(x, delta)
+        curves = _separation_curves(sys, lambda n: ball, sched)
+        for i, (curve, eps) in enumerate(zip(curves, sched.epsilons)):
             est = _rate_from_curve(curve, "limsup", False, eps)
-            if best is None or est.value < best.value:
-                best = est
-        per_eps.append(best)
+            if per_eps[i] is None or est.value < per_eps[i].value:
+                per_eps[i] = est
     return _with_eps_trend(per_eps)
 
 
@@ -295,13 +320,12 @@ def translocal_entropy(sys: System, z: Point, omega: float,
             return None     # below representable sample resolution
         return Ball(z, r)
 
-    uppers, lowers = [], []
-    for eps in sched.epsilons:
-        curve = separation_curve(sys, ball_for_n, sched.n_values, eps,
-                                 sched.budget)
-        uppers.append(_rate_from_curve(curve, "limsup", True, eps))
-        lowers.append(_rate_from_curve(curve, "liminf", True, eps))
-    return _with_eps_trend(uppers), _with_eps_trend(lowers)
+    curves = _separation_curves(sys, ball_for_n, sched)
+    pairs = list(zip(curves, sched.epsilons))
+    return (_with_eps_trend([_rate_from_curve(c, "limsup", True, eps)
+                             for c, eps in pairs]),
+            _with_eps_trend([_rate_from_curve(c, "liminf", True, eps)
+                             for c, eps in pairs]))
 
 
 def lyapunov_exponent(sys: System, x: Point, n: int) -> tuple[float, float]:

@@ -526,11 +526,22 @@ def get_potential(spec_id: str) -> Potential:
 
 def birkhoff_sum(pot: Potential, sys: System, x: Point, n: int) -> float:
     """sum_{m<n} phi(f^m x)."""
+    return birkhoff_sums(pot, sys, x, (n,))[0]
+
+
+def birkhoff_sums(pot: Potential, sys: System, x: Point,
+                  n_values) -> list[float]:
+    """[sum_{m<n} phi(f^m x) for n in n_values], from one orbit of length
+    max(n_values).  Each sum is np.sum over its own prefix of the orbit's
+    potential values, so it equals the sum over an orbit of length n bit
+    for bit; a running cumsum would round differently, as np.sum adds
+    pairwise."""
     if pot.kind == "zero":
-        return 0.0
+        return [0.0 for _ in n_values]
     if pot.kind == "constant":
-        return pot.c * n
+        return [pot.c * n for n in n_values]
     if sys.space == SYMBOLIC:
         raise ValueError("non-constant potentials unsupported on shift spaces")
-    orb = orbit_coords(sys, np.asarray([x.coords]), n)[0]
-    return float(np.sum(pot.values(sys, orb)))
+    orb = orbit_coords(sys, np.asarray([x.coords]), max(n_values))[0]
+    phi = pot.values(sys, orb)
+    return [float(np.sum(phi[:n])) for n in n_values]

@@ -17,7 +17,7 @@ import numpy as np
 from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rate
 from .errors import SpaceMismatchError
-from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sum, evaluate,
+from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums, evaluate,
                    orbit_coords)
 from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point,
                      distance)
@@ -364,11 +364,12 @@ def local_pressure(sys: System, mu: Measure, pot: Potential, x: Point,
     """Rates of Birkhoff sums minus log Bowen-ball measure."""
     _require_invariant(sys, mu)
 
+    phis = birkhoff_sums(pot, sys, x, sched.n_values)
+
     def series(eps):
         out = []
         masses = _bowen_masses(sys, mu, x, sched.n_values, eps)
-        for n, v in zip(sched.n_values, masses):
-            phi = birkhoff_sum(pot, sys, x, n)
+        for n, phi, v in zip(sched.n_values, phis, masses):
             out.append((n, math.inf if v == 0.0 else phi - math.log(v)))
         return out
 
@@ -393,14 +394,12 @@ def translocal_local_pressure(sys: System, mu: Measure, pot: Potential,
     if omega < 0:
         raise ValueError("omega must be >= 0")
 
-    def series(_eps):
-        out = []
-        for n in sched.n_values:
-            ball = Ball(x, math.exp(-omega * n))
-            v = ball_measure(mu, ball)
-            phi = birkhoff_sum(pot, sys, x, n)
-            out.append((n, math.inf if v == 0.0 else phi - math.log(v)))
-        return out
+    # the series does not depend on eps: one fit, reported at the last eps
+    series = []
+    for n, phi in zip(sched.n_values, birkhoff_sums(pot, sys, x,
+                                                    sched.n_values)):
+        v = ball_measure(mu, Ball(x, math.exp(-omega * n)))
+        series.append((n, math.inf if v == 0.0 else phi - math.log(v)))
 
-    up, lo = _rate_pair(series, sched.epsilons)
+    up, lo = _rate_pair(lambda _eps: series, sched.epsilons[-1:])
     return _pair((up, lo), x, pot.kind, omega)

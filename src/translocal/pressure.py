@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measures, spaces
-from .entropy import DEFAULT_SCHEDULE, Schedule, _lstsq_slope, growth_rate
+from .entropy import (DEFAULT_SCHEDULE, Schedule, _lstsq_slope,
+                      _require_distinct, growth_rate)
 from .errors import UnbracketedError
 from .maps import Potential, System
 from .spaces import CIRCLE, INTERVAL, Ball, Point
@@ -287,6 +288,7 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
         raise ValueError("bowen-ball variant needs a radius r")
     if variant.startswith("translocal") and omega is None:
         raise ValueError("translocal variants need omega")
+    _require_distinct(n_window)
     ext_of_lam = (_bowen_extent(r) if variant == "bowen-ball"
                   else _metric_extent(omega))
     table = _cover_table(sys, region, pot,

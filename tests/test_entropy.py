@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from translocal import separated
 from translocal.entropy import (DEFAULT_SCHEDULE, Schedule, cell_log_count,
-                                growth_rate, lyapunov_exponent,
-                                restricted_entropy, toral_translocal,
-                                translocal_entropy, yz_entropy_function)
+                                cell_log_counts, growth_rate,
+                                lyapunov_exponent, restricted_entropy,
+                                toral_translocal, translocal_entropy,
+                                yz_entropy_function)
 from translocal.maps import (get_system, iterate_system, log_derivative_sum,
                              toral_eigen_data)
 from translocal.spaces import Ball, circle, interval, torus, word
@@ -36,11 +38,23 @@ def test_growth_rate_clamps_negative_slopes():
     assert growth_rate(data, "limsup", clamp=True).value == 0.0
 
 
+def test_growth_rate_rejects_repeated_n():
+    data = [(n, 0.5 * n) for n in (6, 6, 6, 6, 7)]
+    with pytest.raises(ValueError):
+        growth_rate(data, "limsup")
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule((5, 4, 3), (0.05,), 1000)
     with pytest.raises(ValueError):
         Schedule((4, 5, 6), (0.01, 0.05), 1000)
+
+
+@pytest.mark.parametrize("n_values", [(6, 6, 6, 6, 7), (0, 1, 2)])
+def test_schedule_rejects_repeated_or_nonpositive_n(n_values):
+    with pytest.raises(ValueError):
+        Schedule(n_values, (0.05,), 1000)
 
 
 def test_restricted_entropy_tripling_whole_circle():
@@ -143,3 +157,44 @@ def test_1d_cell_without_branch_table_is_rejected():
     tableless = dataclasses.replace(get_system("tripling"), branches=())
     with pytest.raises(ValueError):
         cell_log_count(tableless, Ball(circle(0.3), 0.1), 5, 0.01, 10_000)
+
+
+# whole circle, inside, split across 0 on either side, interval, an
+# iterate, toral and full-shift cells
+ALL_EPS_CASES = [("tripling", circle(0.3), 0.5),
+                 ("tripling", circle(0.3), 0.1),
+                 ("tripling", circle(0.02), 0.05),
+                 ("tripling", circle(0.97), 0.05),
+                 ("pomeau-manneville", interval(0.1), 0.2),
+                 ("iterate:tripling:2", circle(0.6), 0.04),
+                 ("cat", torus(0.1, 0.2), 0.3),
+                 ("fullshift:2", word([0, 1, 1] * 8), 0.2)]
+
+
+@pytest.mark.parametrize("sys_id,center,radius", ALL_EPS_CASES)
+def test_all_eps_cell_equals_the_per_eps_cells(sys_id, center, radius):
+    sys, ball = get_system(sys_id), Ball(center, radius)
+    epsilons = (0.2, 0.05, 0.02, 0.013, 0.01, 0.001)
+    for n in (1, 4, 9):
+        got = cell_log_counts(sys, ball, n, epsilons, 10_000)
+        want = [cell_log_count(sys, ball, n, eps, 10_000) for eps in epsilons]
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("epsilons", [(0.05,), (0.05, 0.02, 0.01),
+                                      (0.1, 0.05, 0.03, 0.02, 0.01, 0.005)])
+def test_translocal_pushes_each_cell_forward_once(monkeypatch, epsilons):
+    # at most two pushforwards per n (a ball split across 0), for any eps count
+    calls = []
+    exact_variation = separated.exact_variation
+
+    def counted(*args):
+        calls.append(args)
+        return exact_variation(*args)
+
+    monkeypatch.setattr(separated, "exact_variation", counted)
+    sched = Schedule(DEFAULT_SCHEDULE.n_values, epsilons)
+    for z in (0.37, 0.001):
+        calls.clear()
+        translocal_entropy(get_system("tripling"), circle(z), 0.3, sched)
+        assert 0 < len(calls) <= 2 * len(sched.n_values)

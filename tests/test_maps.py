@@ -1,4 +1,5 @@
 """Catalogue map definitions, derivatives, iterates, and branch data."""
+import dataclasses
 import math
 import warnings
 
@@ -150,3 +151,20 @@ def test_birkhoff_sum_constant():
     sys = get_system("tripling")
     pot = Potential("constant", c=0.4)
     assert maps.birkhoff_sum(pot, sys, circle(0.1), 5) == pytest.approx(2.0)
+
+
+def test_birkhoff_sums_step_one_orbit():
+    base = get_system("g3branch")
+    calls = []
+
+    def step_many(coords):
+        calls.append(len(coords))
+        return base.step_many(coords)
+
+    sys = dataclasses.replace(base, step_many=step_many)
+    pot = get_potential("geometric:0.7")
+    n_values = (1, 3, 8, 9, 14)
+    sums = maps.birkhoff_sums(pot, sys, circle(0.3141), n_values)
+    assert len(calls) == max(n_values) - 1
+    assert sums == [maps.birkhoff_sum(pot, base, circle(0.3141), n)
+                    for n in n_values]

@@ -105,6 +105,13 @@ def test_unbracketed_grid_raises():
                           s_grid=(4.0, 5.0, 6.0))
 
 
+def test_critical_exponent_rejects_repeated_n():
+    sys = get_system("tripling")
+    with pytest.raises(ValueError):
+        critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05,
+                          n_window=(6, 6, 6, 6, 7))
+
+
 def test_translocal_cover_weight_requires_positive_omega():
     sys = get_system("tripling")
     with pytest.raises(ValueError):

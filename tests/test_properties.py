@@ -1,6 +1,6 @@
 """Hypothesis properties of the exact branch pushforward, of the closed-form
-toral and full-shift cells, of coded-shift language counts, and of
-Bowen-ball masses."""
+toral and full-shift cells, of the closed-form window slope, of coded-shift
+language counts, and of Bowen-ball masses."""
 import itertools
 import math
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translocal.entropy import _real_eigenbasis, cell_log_count
+from translocal.entropy import (_lstsq_slope, _real_eigenbasis,
+                                cell_log_count)
 from translocal.maps import catalogue_ids, get_system
 from translocal.measures import bowen_ball_measure, get_measure
 from translocal.separated import exact_variation, separation_prefix_length
@@ -135,6 +136,21 @@ def test_fullshift_cell_counts_the_grid_prefixes(k, data, closed, n, eps,
     grid = symbolic_grid(ball, m.beta ** (-plen), m)
     assert not capped
     assert logc == math.log(len({w[:plen] for w in grid.words}))
+
+
+@PROPERTY
+@given(data=st.data(),
+       ns=st.lists(st.integers(1, 1000), min_size=3, max_size=17,
+                   unique=True))
+def test_window_slope_is_the_least_squares_fit(data, ns):
+    ys = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=len(ns),
+                            max_size=len(ns)))
+    slope, resid = _lstsq_slope(list(zip(ns, ys)))
+    a = np.stack([np.asarray(ns, dtype=float), np.ones(len(ns))], axis=1)
+    coef = np.linalg.lstsq(a, np.asarray(ys), rcond=None)[0]
+    want = float(np.sqrt(np.mean((a @ coef - np.asarray(ys)) ** 2)))
+    assert slope == pytest.approx(float(coef[0]), abs=1e-12)
+    assert resid == pytest.approx(want, abs=1e-12)
 
 
 @PROPERTY
