@@ -343,19 +343,14 @@ def _pair(ests, point, pot_id, omega):
     return tuple(out)
 
 
-def _rate_pair(series_for_eps, epsilons):
-    uppers, lowers = [], []
-    for eps in epsilons:
-        data = series_for_eps(eps)
-        if any(not math.isfinite(v) for _, v in data):
-            inf_est = RateEstimate(math.inf, (0, 0), eps, 0.0, "limsup",
-                                   warning="zero-measure ball")
-            uppers.append(inf_est)
-            lowers.append(inf_est)
-            continue
-        uppers.append(growth_rate(data, "limsup", eps=eps))
-        lowers.append(growth_rate(data, "liminf", eps=eps))
-    return uppers[-1], lowers[-1]
+def _rate_pair(data, eps):
+    """(upper, lower) rates of one (n, value) series, fitted at `eps`."""
+    if any(not math.isfinite(v) for _, v in data):
+        inf_est = RateEstimate(math.inf, (0, 0), eps, 0.0, "limsup",
+                               warning="zero-measure ball")
+        return inf_est, inf_est
+    return (growth_rate(data, "limsup", eps=eps),
+            growth_rate(data, "liminf", eps=eps))
 
 
 def local_pressure(sys: System, mu: Measure, pot: Potential, x: Point,
@@ -364,17 +359,14 @@ def local_pressure(sys: System, mu: Measure, pot: Potential, x: Point,
     """Rates of Birkhoff sums minus log Bowen-ball measure."""
     _require_invariant(sys, mu)
 
-    phis = birkhoff_sums(pot, sys, x, sched.n_values)
-
-    def series(eps):
-        out = []
-        masses = _bowen_masses(sys, mu, x, sched.n_values, eps)
-        for n, phi, v in zip(sched.n_values, phis, masses):
-            out.append((n, math.inf if v == 0.0 else phi - math.log(v)))
-        return out
-
-    up, lo = _rate_pair(series, sched.epsilons)
-    return _pair((up, lo), x, pot.kind, None)
+    # the estimate is reported at the schedule's last (smallest) eps
+    eps = sched.epsilons[-1]
+    masses = _bowen_masses(sys, mu, x, sched.n_values, eps)
+    series = [(n, math.inf if v == 0.0 else phi - math.log(v))
+              for n, phi, v in zip(sched.n_values,
+                                   birkhoff_sums(pot, sys, x, sched.n_values),
+                                   masses)]
+    return _pair(_rate_pair(series, eps), x, pot.kind, None)
 
 
 def brin_katok(sys: System, mu: Measure, x: Point,
@@ -401,5 +393,4 @@ def translocal_local_pressure(sys: System, mu: Measure, pot: Potential,
         v = ball_measure(mu, Ball(x, math.exp(-omega * n)))
         series.append((n, math.inf if v == 0.0 else phi - math.log(v)))
 
-    up, lo = _rate_pair(lambda _eps: series, sched.epsilons[-1:])
-    return _pair((up, lo), x, pot.kind, omega)
+    return _pair(_rate_pair(series, sched.epsilons[-1]), x, pot.kind, omega)

@@ -12,13 +12,18 @@ the N-window.
 
 Every weight is read off a level table.  Per segment (each ball's interval
 and its eight chunks), one orbit pass over a midpoint grid records, for
-every level n the call can use, the s-free cover data: balls per sample
-cell, the potential sums over steps j < n, and the ball centres.  The
-log-derivative sums over j < n - 1 that size the balls are prefixes of the
-next level's, as are the potential sums, so one pass serves all levels.  An
-(s, N) weight is then the sum over cells of count * exp(-s*n + phi).
-`critical_exponent` builds the table once for its whole N-window and
-s-search; `cover_weight` builds one for N..N+4.
+every level n the call can use, the s-free cover data: the ball count, the
+ball centres, and the log-mass log sum over cells of count * exp(phi), where
+count is the cell's share of balls and phi its potential sum over steps
+j < n.  The log-derivative sums over j < n - 1 that size the balls are
+prefixes of the next level's, as are the potential sums, so one pass serves
+all levels.  An (s, N) weight is then exp(-s*n + log-mass) per segment, one
+scalar exp with no array work.  `critical_exponent` builds the table once
+for its whole N-window and s-search; `cover_weight` builds one for N..N+4.
+
+Choices between equal covers do not hang on rounding: a later level, or the
+refined family, wins only when cheaper by more than `_TIE` relative, and a
+log-weight trend counts as growing only above `_TIE`.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ from .spaces import CIRCLE, INTERVAL, Ball, Point
 _QUAD_POINTS = 4096
 _LEVELS = 5            # cover levels N .. N+4
 _CHUNKS = 8            # refined-family chunks per ball
+_TIE = 1e-9            # relative margin that breaks a tie between covers
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,11 @@ class _Level(NamedTuple):
 
     n: int
     count: float                   # balls in the cover
-    centers: np.ndarray            # up to 64 ball centres
-    counts: np.ndarray | None      # balls per sample cell; None: one ball
-    phi: np.ndarray | float        # potential sums (middle cell if one ball)
+    centers: tuple                 # up to 64 ball centres
+    log_mass: float                # log sum over cells of count * exp(phi)
 
     def weight(self, s: float) -> float:
-        if self.counts is None:
-            return math.exp(-s * self.n + self.phi)
-        return float(np.sum(self.counts * np.exp(-s * self.n + self.phi)))
+        return math.exp(-s * self.n + self.log_mass)
 
 
 def _level(xs: np.ndarray, spacing: float, ext: np.ndarray, phi: np.ndarray,
@@ -119,11 +122,16 @@ def _level(xs: np.ndarray, spacing: float, ext: np.ndarray, phi: np.ndarray,
     total = float(counts.sum())
     if total <= 1.0:
         mid = xs.shape[0] // 2
-        return _Level(n, 1.0, xs[mid:mid + 1], None, float(phi[mid]))
-    cum = np.cumsum(counts)
+        return _Level(n, 1.0, (float(xs[mid]),), float(phi[mid]))
+    # the running sum can round below the pairwise total's last mark
     marks = np.arange(0.5, min(total, 64.0), 1.0)
-    return _Level(n, total, xs[np.searchsorted(cum, marks)], counts,
-                  phi.copy())
+    at = np.minimum(np.searchsorted(np.cumsum(counts), marks), len(xs) - 1)
+    top = float(phi.max())
+    if math.isfinite(top):
+        log_mass = top + math.log(float(np.sum(counts * np.exp(phi - top))))
+    else:
+        log_mass = top             # the sum is inf (top = inf) or 0 (-inf)
+    return _Level(n, total, tuple(xs[at].tolist()), log_mass)
 
 
 def _segment_levels(sys: System, pot: Potential, a: float, b: float,
@@ -199,7 +207,7 @@ def _cover_table(sys: System, region: Region, pot: Potential, levels: range,
 def _best_level(segments: list, N: int,
                 s: float) -> tuple[float, float, list, int]:
     """(weight, count, centers, n) of the cheapest single level n in N..N+4
-    covering every segment; ties go to the lowest level."""
+    covering every segment; a later level must be cheaper by `_TIE`."""
     best = None
     for n in range(N, N + _LEVELS):
         weight, count, centers = 0.0, 0.0, []
@@ -207,8 +215,8 @@ def _best_level(segments: list, N: int,
             level = levels[n]
             weight += level.weight(s)
             count += level.count
-            centers.extend(level.centers.tolist())
-        if best is None or weight < best[0]:
+            centers.extend(level.centers)
+        if best is None or weight < best[0] * (1.0 - _TIE):
             best = (weight, count, centers, n)
     return best
 
@@ -216,7 +224,7 @@ def _best_level(segments: list, N: int,
 def _region_weight(table: list, s: float,
                    N: int) -> tuple[str, float, float, tuple, tuple]:
     """(family, weight, count, centers, levels) of the cheaper cover family;
-    ties go to uniform-n."""
+    refined must be cheaper than uniform-n by `_TIE`."""
     w, c, centers, n = _best_level([whole for whole, _ in table], N, s)
     uniform = ("uniform-n", w, c, tuple(centers[:64]), (n,))
     weight, count, centers, ns = 0.0, 0.0, [], set()
@@ -230,7 +238,7 @@ def _region_weight(table: list, s: float,
             ns.add(n)
         weight += ball_w
         count += ball_c
-    if weight < uniform[1]:
+    if weight < uniform[1] * (1.0 - _TIE):
         return ("refined", weight, count, tuple(centers[:64]),
                 tuple(sorted(ns)))
     return uniform
@@ -280,7 +288,8 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
                       s_grid: tuple = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0),
                       variant: str = "bowen-ball",
                       tol: float = 0.02) -> CriticalExponent:
-    """Bisection on s of the sign of the log-weight trend across N.
+    """Bisection on s of the sign of the log-weight trend across N; a trend
+    at or below `_TIE` counts as not growing.
 
     One level table, for levels min(n_window) .. max(n_window) + 4, serves
     every weight of the search."""
@@ -303,7 +312,7 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
     bracket = None
     grid = sorted(s_grid)
     for lo, hi in zip(grid, grid[1:]):
-        if trends[lo] > 0.0 and trends[hi] <= 0.0:
+        if trends[lo] > _TIE and trends[hi] <= _TIE:
             bracket = [lo, hi]
             break
     if bracket is None:
@@ -312,7 +321,7 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
     lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if trend(mid) > 0.0:
+        if trend(mid) > _TIE:
             lo = mid
         else:
             hi = mid
