@@ -2,28 +2,25 @@
 extraction, the shrinking-metric-ball variant, and the two-sided audit
 against sampled local pressures.
 
-Minimizing over all covers is intractable; weights are minimized over two
-structured families on the levels N..N+4 and the cheaper value is reported:
-uniform-n covers the whole region at one level, refined splits each ball
-into eight chunks and covers each at its own level.  Neither family contains
-the other: a chunk is charged at least one whole ball and integrated on its
-own grid.  Transition detection uses the sign of the log-weight trend across
-the N-window.
+Minimizing over all covers is intractable; weights are minimized over the
+uniform-n covers on the levels N..N+4, each covering the whole region with
+balls of one level n.  Cover pressure is an infimum over covers, so a weight
+from this one family bounds it from above.  Transition detection uses the
+sign of the log-weight trend across the N-window.
 
-Every weight is read off a level table.  Per segment (each ball's interval
-and its eight chunks), one orbit pass over a midpoint grid records, for
-every level n the call can use, the s-free cover data: the ball count, the
-ball centres, and the log-mass log sum over cells of count * exp(phi), where
-count is the cell's share of balls and phi its potential sum over steps
-j < n.  The log-derivative sums over j < n - 1 that size the balls are
-prefixes of the next level's, as are the potential sums, so one pass serves
-all levels.  An (s, N) weight is then exp(-s*n + log-mass) per segment, one
-scalar exp with no array work.  `critical_exponent` builds the table once
-for its whole N-window and s-search; `cover_weight` builds one for N..N+4.
+Every weight is read off a level table.  Per ball, one orbit pass over a
+midpoint grid of its interval records, for every level n the call can use,
+the s-free log-mass log sum over cells of count * exp(phi), where count is
+the cell's share of balls and phi its potential sum over steps j < n.  The
+log-derivative sums over j < n - 1 that size the balls are prefixes of the
+next level's, as are the potential sums, so one pass serves all levels.  An
+(s, N) weight is then exp(-s*n + log-mass) per ball, one scalar exp with no
+array work.  `critical_exponent` builds the table once for its whole
+N-window and s-search; `cover_weight` builds one for N..N+4.
 
-Choices between equal covers do not hang on rounding: a later level, or the
-refined family, wins only when cheaper by more than `_TIE` relative, and a
-log-weight trend counts as growing only above `_TIE`.
+Choices between equal covers do not hang on rounding: a later level wins
+only when cheaper by more than `_TIE` relative, and a log-weight trend
+counts as growing only above `_TIE`.
 """
 from __future__ import annotations
 
@@ -42,7 +39,6 @@ from .spaces import CIRCLE, INTERVAL, Ball, Point
 
 _QUAD_POINTS = 4096
 _LEVELS = 5            # cover levels N .. N+4
-_CHUNKS = 8            # refined-family chunks per ball
 _TIE = 1e-9            # relative margin that breaks a tie between covers
 
 
@@ -73,10 +69,7 @@ class CoverWeight:
     omega: float | None
     N: int
     potential: str
-    family: str
-    count: float
     n_values: tuple
-    sample_centers: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -105,33 +98,26 @@ class _Level(NamedTuple):
     """s-free uniform-n cover data of one segment at one level n."""
 
     n: int
-    count: float                   # balls in the cover
-    centers: tuple                 # up to 64 ball centres
     log_mass: float                # log sum over cells of count * exp(phi)
 
     def weight(self, s: float) -> float:
         return math.exp(-s * self.n + self.log_mass)
 
 
-def _level(xs: np.ndarray, spacing: float, ext: np.ndarray, phi: np.ndarray,
+def _level(spacing: float, ext: np.ndarray, phi: np.ndarray,
            n: int) -> _Level:
     """Each sample cell needs spacing/extent balls, where the extent is the
     spatial footprint of one cover ball around that cell; a segment that
     needs at most one ball gets one, centred at its middle cell."""
     counts = spacing / ext
-    total = float(counts.sum())
-    if total <= 1.0:
-        mid = xs.shape[0] // 2
-        return _Level(n, 1.0, (float(xs[mid]),), float(phi[mid]))
-    # the running sum can round below the pairwise total's last mark
-    marks = np.arange(0.5, min(total, 64.0), 1.0)
-    at = np.minimum(np.searchsorted(np.cumsum(counts), marks), len(xs) - 1)
+    if float(counts.sum()) <= 1.0:
+        return _Level(n, float(phi[phi.shape[0] // 2]))
     top = float(phi.max())
     if math.isfinite(top):
         log_mass = top + math.log(float(np.sum(counts * np.exp(phi - top))))
     else:
         log_mass = top             # the sum is inf (top = inf) or 0 (-inf)
-    return _Level(n, total, tuple(xs[at].tolist()), log_mass)
+    return _Level(n, log_mass)
 
 
 def _segment_levels(sys: System, pot: Potential, a: float, b: float,
@@ -154,7 +140,7 @@ def _segment_levels(sys: System, pot: Potential, a: float, b: float,
     for n in range(1, levels.stop):
         phi += pot.values(sys, cur)
         if n >= levels.start:
-            table[n] = _level(xs, spacing, ext_of_lam(lam, n), phi, n)
+            table[n] = _level(spacing, ext_of_lam(lam, n), phi, n)
         if n + 1 < levels.stop:
             if sys.log_slope_many is not None:
                 lam += sys.log_slope_many(cur)
@@ -182,87 +168,53 @@ def _metric_extent(omega: float):
 
 def _cover_table(sys: System, region: Region, pot: Potential, levels: range,
                  ext_of_lam) -> list:
-    """Per ball, the levels of its segment and of each of its chunks."""
+    """Per ball, the levels of its segment."""
     if levels.start < 1:
         raise ValueError("N must be >= 1")
     if region.space not in (CIRCLE, INTERVAL):
         raise ValueError(
             f"cover construction implemented for 1D regions, got "
             f"{region.space!r}")
-    table = []
-    for ball in region.balls:
-        a, b = _interval_of(ball, region.space)
-        edges = np.linspace(a, b, _CHUNKS + 1)
-        table.append((
-            _segment_levels(sys, pot, a, b, levels, ext_of_lam),
-            [_segment_levels(sys, pot, lo, hi, levels, ext_of_lam)
-             for lo, hi in zip(edges, edges[1:])]))
-    return table
+    return [_segment_levels(sys, pot, *_interval_of(ball, region.space),
+                            levels, ext_of_lam)
+            for ball in region.balls]
 
 
 # ---------------------------------------------------------------------------
 # Cover weights
 # ---------------------------------------------------------------------------
 
-def _best_level(segments: list, N: int,
-                s: float) -> tuple[float, float, list, int]:
-    """(weight, count, centers, n) of the cheapest single level n in N..N+4
-    covering every segment; a later level must be cheaper by `_TIE`."""
+def _best_level(table: list, N: int, s: float) -> tuple[float, int]:
+    """(weight, n) of the cheapest single level n in N..N+4 covering every
+    segment; a later level must be cheaper by `_TIE`."""
     best = None
     for n in range(N, N + _LEVELS):
-        weight, count, centers = 0.0, 0.0, []
-        for levels in segments:
-            level = levels[n]
-            weight += level.weight(s)
-            count += level.count
-            centers.extend(level.centers)
+        weight = 0.0
+        for levels in table:
+            weight += levels[n].weight(s)
         if best is None or weight < best[0] * (1.0 - _TIE):
-            best = (weight, count, centers, n)
+            best = (weight, n)
     return best
-
-
-def _region_weight(table: list, s: float,
-                   N: int) -> tuple[str, float, float, tuple, tuple]:
-    """(family, weight, count, centers, levels) of the cheaper cover family;
-    refined must be cheaper than uniform-n by `_TIE`."""
-    w, c, centers, n = _best_level([whole for whole, _ in table], N, s)
-    uniform = ("uniform-n", w, c, tuple(centers[:64]), (n,))
-    weight, count, centers, ns = 0.0, 0.0, [], set()
-    for _, chunks in table:
-        ball_w, ball_c = 0.0, 0.0
-        for chunk in chunks:
-            w, c, cen, n = _best_level([chunk], N, s)
-            ball_w += w
-            ball_c += c
-            centers.extend(cen[:8])
-            ns.add(n)
-        weight += ball_w
-        count += ball_c
-    if weight < uniform[1] * (1.0 - _TIE):
-        return ("refined", weight, count, tuple(centers[:64]),
-                tuple(sorted(ns)))
-    return uniform
 
 
 def _cover_weight(sys: System, region: Region, pot: Potential, s: float,
                   N: int, ext_of_lam, r: float | None,
                   omega: float | None) -> CoverWeight:
     table = _cover_table(sys, region, pot, range(N, N + _LEVELS), ext_of_lam)
-    family, w, c, centers, ns = _region_weight(table, s, N)
-    return CoverWeight(w, s, r, omega, N, pot.kind, family, c, ns, centers)
+    weight, n = _best_level(table, N, s)
+    return CoverWeight(weight, s, r, omega, N, pot.kind, (n,))
 
 
 def cover_weight(sys: System, region: Region, pot: Potential, s: float,
                  r: float, N: int) -> CoverWeight:
-    """Weighted Bowen-ball cover sum, minimized over the two cover families
-    on levels N..N+4: uniform-n (one level for the whole region) and
-    refined (eight chunks per ball, each at its own level)."""
+    """Weighted Bowen-ball cover sum, minimized over the uniform-n covers
+    on levels N..N+4: the whole region covered at one level n."""
     return _cover_weight(sys, region, pot, s, N, _bowen_extent(r), r, None)
 
 
 def translocal_cover_weight(sys: System, region: Region, pot: Potential,
                             s: float, omega: float, N: int) -> CoverWeight:
-    """Cover sum with metric balls of radius exp(-omega * n_j), minimized
+    """Cover sum with metric balls of radius exp(-omega * n), minimized
     as in `cover_weight`."""
     return _cover_weight(sys, region, pot, s, N, _metric_extent(omega),
                          None, omega)
@@ -306,7 +258,7 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
 
     def trend(s: float) -> float:
         return _log_weight_trend(
-            [(N, _region_weight(table, s, N)[1]) for N in n_window], variant)
+            [(N, _best_level(table, N, s)[0]) for N in n_window], variant)
 
     trends = {s: trend(s) for s in s_grid}
     bracket = None

@@ -230,19 +230,34 @@ def _automaton(fam: CodeWordFamily):
     return (1 << p) - 1, step
 
 
+@lru_cache(maxsize=16)
+def _walk(fam: CodeWordFamily) -> list:
+    """The walk of `coded_language_count` so far, in a one-slot list: the
+    count of admissible words of every length walked, and the live states
+    after the longest, each with the number of words reaching it.  Calls
+    extend it from its last layer; the slot is replaced whole, so a call
+    never reads half an update."""
+    start, _ = _automaton(fam)
+    return [((1,), {start: 1})]
+
+
 def coded_language_count(fam: CodeWordFamily, n: int) -> int:
     """Number of admissible words of length n: subwords of free
     concatenations of the code words, counted on a determinized automaton
-    over in-word positions."""
+    over in-word positions.  The walk is kept per family, so a call
+    returns a stored count or walks on from the longest length so far."""
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
         return 1
-    starts, step = _automaton(fam)
+    slot = _walk(fam)
+    counts, layer = slot[0]
+    if n < len(counts):
+        return counts[n]
+    _, step = _automaton(fam)
     symbols = range(fam.alphabet)
-    # live states after m symbols, each with the number of words reaching it
-    layer = {starts: 1}
-    for _ in range(n):
+    counts = list(counts)
+    while len(counts) <= n:
         nxt: dict[int, int] = {}
         for state, mult in layer.items():
             for symbol in symbols:
@@ -250,7 +265,9 @@ def coded_language_count(fam: CodeWordFamily, n: int) -> int:
                 if after:
                     nxt[after] = nxt.get(after, 0) + mult
         layer = nxt
-    return sum(layer.values())
+        counts.append(sum(layer.values()))
+    slot[0] = (tuple(counts), layer)
+    return counts[n]
 
 
 def language_membership(fam: CodeWordFamily, wrd) -> bool:

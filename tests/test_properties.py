@@ -1,6 +1,8 @@
 """Hypothesis properties of the exact branch pushforward, of the closed-form
 toral and full-shift cells, of the closed-form window slope, of coded-shift
-language counts, and of Bowen-ball masses."""
+language counts, of the kept coded-language walk, and of Bowen-ball
+masses."""
+import functools
 import itertools
 import math
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from translocal import symbolic
 from translocal.entropy import (_lstsq_slope, _real_eigenbasis,
                                 cell_log_count)
 from translocal.maps import catalogue_ids, get_system
@@ -163,6 +166,35 @@ def test_coded_count_counts_member_words(words, n):
     members = sum(language_membership(fam, w)
                   for w in itertools.product(range(fam.alphabet), repeat=n))
     assert coded_language_count(fam, n) == members
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_count(fid, n):
+    """The count of a walk from the start state, as if nothing were kept."""
+    start, step = symbolic._automaton(get_family(fid))
+    layer = {start: 1}
+    for _ in range(n):
+        nxt = {}
+        for state, mult in layer.items():
+            for symbol in range(3):
+                after = step(state, symbol)
+                if after:
+                    nxt[after] = nxt.get(after, 0) + mult
+        layer = nxt
+    return sum(layer.values())
+
+
+@pytest.mark.parametrize("fid", ["codedshift:linear:1,0",
+                                 "codedshift:linear:3,2"])
+@PROPERTY
+@given(ns=st.lists(st.integers(0, 30), min_size=1, max_size=8))
+def test_coded_count_walks_on_as_if_from_scratch(fid, ns):
+    # the kept walk starts empty, then serves the lengths in any order,
+    # decreasing orders included
+    symbolic._walk.cache_clear()
+    fam = get_family(fid)
+    assert [coded_language_count(fam, n) for n in ns] \
+        == [_fresh_count(fid, n) for n in ns]
 
 
 @PROPERTY

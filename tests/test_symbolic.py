@@ -96,6 +96,13 @@ def test_memoised_automaton_refuses_on_every_call():
             language_membership(fam, (2,))
 
 
+def test_kept_walk_refuses_on_every_call():
+    fam = get_family("codedshift:geometric:1")
+    for n in (3, 3, 1):
+        with pytest.raises(BudgetExceededError):
+            coded_language_count(fam, n)
+
+
 def test_coded_count_matches_kraft_rate():
     fam = get_family("codedshift:linear:1,0")
     counts = [(n, math.log(coded_language_count(fam, n)))
