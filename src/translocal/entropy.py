@@ -7,9 +7,11 @@ Every limsup/liminf is replaced by a finite surrogate: closed-form
 least-squares slopes of log separated counts over windows in the tail of the
 n-schedule (upper = max window slope, lower = min), with the eps-ladder
 handled by reporting the smallest-eps value together with the first-difference
-trend.  The estimators walk the n-schedule on the outside: each (ball, n)
-cell is built once and counted for every eps of the schedule, since a 1D or
-toral cell's image variation does not depend on eps.
+trend.  One walk over the tail windows fits each window once and keeps both
+extremes, and only the reported eps (the last one and the one before it) are
+counted and fitted.  The estimators walk the n-schedule on the outside: each
+(ball, n) cell is built once and counted for every reported eps, since a 1D
+or toral cell's image variation does not depend on eps.
 """
 from __future__ import annotations
 
@@ -64,20 +66,38 @@ class RateEstimate:
 def growth_rate(log_counts, mode: str = "limsup", clamp: bool = False,
                 eps: float | None = None) -> RateEstimate:
     """Slope surrogate for limsup/liminf (1/n) log S over the tail window."""
+    if mode not in ("limsup", "liminf"):
+        raise ValueError(f"mode must be 'limsup' or 'liminf', not {mode!r}")
+    upper, lower = growth_rates(log_counts, clamp, eps)
+    return upper if mode == "limsup" else lower
+
+
+def growth_rates(log_counts, clamp: bool = False, eps: float | None = None
+                 ) -> tuple[RateEstimate, RateEstimate]:
+    """(limsup, liminf) slope surrogates from one walk over the tail
+    windows: each window is fitted once, and the first window with the
+    largest (smallest) slope gives the upper (lower) estimate."""
     pts = sorted((int(n), float(v)) for n, v in log_counts)
     if len(pts) < 3:
         raise ValueError("growth_rate needs at least 3 data points")
     _require_distinct([n for n, _ in pts])
     tail = pts[-max(3, (len(pts) + 1) // 2):]
-    best = None
+    upper = lower = None
     for width in range(max(3, len(tail) - 1), len(tail) + 1):
         for lo in range(0, len(tail) - width + 1):
             window = tail[lo:lo + width]
             slope, resid = _lstsq_slope(window)
-            if best is None or (mode == "limsup" and slope > best[0]) \
-                    or (mode == "liminf" and slope < best[0]):
-                best = (slope, resid, (window[0][0], window[-1][0]))
-    value, resid, win = best
+            fit = (slope, resid, (window[0][0], window[-1][0]))
+            if upper is None or slope > upper[0]:
+                upper = fit
+            if lower is None or slope < lower[0]:
+                lower = fit
+    return (_estimate(upper, "limsup", clamp, eps),
+            _estimate(lower, "liminf", clamp, eps))
+
+
+def _estimate(fit, mode, clamp, eps) -> RateEstimate:
+    value, resid, win = fit
     if clamp:
         value = max(value, 0.0)
     return RateEstimate(value, win, eps, resid, mode)
@@ -241,30 +261,41 @@ def _cell_generic(sys: System, ball: Ball, n: int, eps: float,
 
 
 def _separation_curves(sys: System, ball_for_n, sched: Schedule):
-    """One [(n, log count, capped)] curve per eps of the schedule, with an
-    n-dependent ball; each (ball, n) cell is built once for all eps."""
-    curves = [[] for _ in sched.epsilons]
+    """One ([(n, log count, capped)], eps) pair per reported eps (see
+    `_reported`), with an n-dependent ball; each (ball, n) cell is built
+    once for all of them."""
+    epsilons = _reported(sched)
+    curves = [[] for _ in epsilons]
     for n in sched.n_values:
         ball = ball_for_n(n)
         if ball is None:
             continue
-        cells = cell_log_counts(sys, ball, n, sched.epsilons, sched.budget)
+        cells = cell_log_counts(sys, ball, n, epsilons, sched.budget)
         for curve, (logc, capped) in zip(curves, cells):
             curve.append((n, logc, capped))
-    return curves
+    return list(zip(curves, epsilons))
 
 
-def _rate_from_curve(curve, mode, clamp, eps):
+def _reported(sched: Schedule) -> tuple:
+    """The eps an estimate reads: the last (smallest) one, whose value it
+    reports, and the one before it, for the eps trend."""
+    return tuple(sched.epsilons[-2:])
+
+
+def _rates_from_curve(curve, clamp, eps):
+    """(upper, lower) rates of one curve; capped cells are left out while
+    three or more uncapped cells remain."""
     usable = [(n, v) for n, v, capped in curve if not capped]
     warning = None
     if len(usable) < 3:
         usable = [(n, v) for n, v, _ in curve]
         warning = "fewer than 3 uncapped cells; capped counts included"
-    est = growth_rate(usable, mode=mode, clamp=clamp, eps=eps)
+    rates = growth_rates(usable, clamp=clamp, eps=eps)
     if warning:
-        est = RateEstimate(est.value, est.n_window, est.eps, est.residual,
-                           est.kind, est.eps_trend, warning)
-    return est
+        rates = tuple(RateEstimate(est.value, est.n_window, est.eps,
+                                   est.residual, est.kind, est.eps_trend,
+                                   warning) for est in rates)
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +306,13 @@ def restricted_entropy(sys: System, region: Ball,
                        sched: Schedule = DEFAULT_SCHEDULE) -> RateEstimate:
     """Growth rate of separated counts inside a fixed compact ball."""
     curves = _separation_curves(sys, lambda n: region, sched)
-    return _with_eps_trend([_rate_from_curve(curve, "limsup", False, eps)
-                            for curve, eps in zip(curves, sched.epsilons)])
+    return _with_eps_trend([_rates_from_curve(curve, False, eps)[0]
+                            for curve, eps in curves])
 
 
 def _with_eps_trend(per_eps):
+    """The last estimate of `per_eps`, with its difference from the one
+    before it (if any) as the eps trend."""
     final = per_eps[-1]
     trend = None
     if len(per_eps) > 1:
@@ -295,12 +328,12 @@ def yz_entropy_function(sys: System, x: Point,
     the restricted growth rate, with eps -> 0 taken last."""
     if list(deltas) != sorted(deltas, reverse=True):
         raise ValueError("delta ladder must be descending")
-    per_eps = [None] * len(sched.epsilons)
+    per_eps = [None] * len(_reported(sched))
     for delta in deltas:
         ball = Ball(x, delta)
         curves = _separation_curves(sys, lambda n: ball, sched)
-        for i, (curve, eps) in enumerate(zip(curves, sched.epsilons)):
-            est = _rate_from_curve(curve, "limsup", False, eps)
+        for i, (curve, eps) in enumerate(curves):
+            est = _rates_from_curve(curve, False, eps)[0]
             if per_eps[i] is None or est.value < per_eps[i].value:
                 per_eps[i] = est
     return _with_eps_trend(per_eps)
@@ -310,7 +343,7 @@ def translocal_entropy(sys: System, z: Point, omega: float,
                        sched: Schedule = DEFAULT_SCHEDULE
                        ) -> tuple[RateEstimate, RateEstimate]:
     """Upper/lower growth rates on closed balls of radius exp(-omega*n),
-    clamped at zero."""
+    clamped at zero; each curve is fitted once for both."""
     if omega < 0:
         raise ValueError("omega must be >= 0")
 
@@ -320,12 +353,10 @@ def translocal_entropy(sys: System, z: Point, omega: float,
             return None     # below representable sample resolution
         return Ball(z, r)
 
-    curves = _separation_curves(sys, ball_for_n, sched)
-    pairs = list(zip(curves, sched.epsilons))
-    return (_with_eps_trend([_rate_from_curve(c, "limsup", True, eps)
-                             for c, eps in pairs]),
-            _with_eps_trend([_rate_from_curve(c, "liminf", True, eps)
-                             for c, eps in pairs]))
+    rates = [_rates_from_curve(curve, True, eps)
+             for curve, eps in _separation_curves(sys, ball_for_n, sched)]
+    return (_with_eps_trend([upper for upper, _ in rates]),
+            _with_eps_trend([lower for _, lower in rates]))
 
 
 def lyapunov_exponent(sys: System, x: Point, n: int) -> tuple[float, float]:

@@ -34,8 +34,10 @@ class System:
     with a derivative rule, returns log|f'| at each coordinate.
     `branches` is the full monotone branch table of a 1D map, sorted by `lo`
     (see `Branch`); exact image variation pushes intervals through it, and
-    `domains` holds the canonical domains its branches map onto.
-    An iterate f^r has no table of its own: `base` is f and `power` is r.
+    `domains` holds the canonical domains its branches map onto, and
+    `uniform_slope` is s when every branch is affine with |slope| s (else
+    None).  An iterate f^r has no table of its own: `base` is f and
+    `power` is r.
     `lebesgue_circle_invariant` marks circle maps that preserve Lebesgue
     measure (every branch is affine onto the whole circle).
     """
@@ -56,10 +58,16 @@ class System:
     power: int = 1
     lebesgue_circle_invariant: bool = False
     domains: frozenset = field(init=False, repr=False, compare=False)
+    uniform_slope: float | None = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domains",
                            frozenset(br.canonical for br in self.branches))
+        slopes = {None if br.slope is None else abs(br.slope)
+                  for br in self.branches}
+        object.__setattr__(self, "uniform_slope",
+                           slopes.pop() if len(slopes) == 1 else None)
 
 
 def evaluate(sys: System, x: Point) -> Point:
@@ -259,17 +267,22 @@ def _toral_step(matrix):
 
 @dataclass(frozen=True)
 class Branch:
+    """One monotone branch: `fn` maps [lo, hi] onto the canonical domain;
+    `slope` is fn's constant derivative when fn is affine, else None."""
+
     lo: float
     hi: float
     fn: Callable[[float], float]
     canonical: tuple
+    slope: float | None = None
 
 
 _UNIT = ("unit",)
 
 
-def _affine_fn(slope, intercept):
-    return lambda x: slope * x + intercept
+def _affine(lo, hi, slope, intercept, canonical=_UNIT):
+    """The affine branch x -> slope * x + intercept on [lo, hi]."""
+    return Branch(lo, hi, lambda x: slope * x + intercept, canonical, slope)
 
 
 def _staircase_lap_fn(base, laps, j):
@@ -282,14 +295,15 @@ def _staircase_lap_fn(base, laps, j):
 
 def _staircase_branches() -> tuple:
     floor_cut = 2.0 ** (-STAIRCASE_LEVEL_CAP)
-    out = [Branch(0.0, floor_cut, lambda x: x, ("frozen",))]
+    out = [Branch(0.0, floor_cut, lambda x: x, ("frozen",), 1.0)]
     for m in range(1, STAIRCASE_LEVEL_CAP + 1):
         base = 2.0 ** (-m)
         laps = 2 * m + 1
         width = base / laps
         for j in range(laps):
             out.append(Branch(base + j * width, base + (j + 1) * width,
-                              _staircase_lap_fn(base, laps, j), ("band", m)))
+                              _staircase_lap_fn(base, laps, j), ("band", m),
+                              float(laps if j % 2 == 0 else -laps)))
     out.sort(key=lambda br: br.lo)
     return tuple(out)
 
@@ -303,9 +317,9 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(lambda x: np.full_like(x, log3)),
             breakpoints=(0.0, 1 / 3, 2 / 3),
             h_top=log3, max_log_slope=log3,
-            branches=(Branch(0.0, 1 / 3, _affine_fn(3.0, 0.0), _UNIT),
-                      Branch(1 / 3, 2 / 3, _affine_fn(3.0, -1.0), _UNIT),
-                      Branch(2 / 3, 1.0, _affine_fn(3.0, -2.0), _UNIT)),
+            branches=(_affine(0.0, 1 / 3, 3.0, 0.0),
+                      _affine(1 / 3, 2 / 3, 3.0, -1.0),
+                      _affine(2 / 3, 1.0, 3.0, -2.0)),
             lebesgue_circle_invariant=True,
         ),
         "g3branch": System(
@@ -314,9 +328,9 @@ def _catalogue() -> dict[str, System]:
             log_slope_many=_slope_1d(_g_log_slope),
             breakpoints=(0.0, 0.5, 0.75),
             h_top=log3, max_log_slope=math.log(4.0),
-            branches=(Branch(0.0, 0.5, _affine_fn(2.0, 0.0), _UNIT),
-                      Branch(0.5, 0.75, _affine_fn(4.0, -2.0), _UNIT),
-                      Branch(0.75, 1.0, _affine_fn(4.0, -3.0), _UNIT)),
+            branches=(_affine(0.0, 0.5, 2.0, 0.0),
+                      _affine(0.5, 0.75, 4.0, -2.0),
+                      _affine(0.75, 1.0, 4.0, -3.0)),
             lebesgue_circle_invariant=True,
         ),
         "pomeau-manneville": System(
@@ -326,7 +340,7 @@ def _catalogue() -> dict[str, System]:
             breakpoints=(0.5,),
             h_top=math.log(2.0), max_log_slope=math.log(4.0),
             branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT),
-                      Branch(0.5, 1.0, _affine_fn(2.0, -1.0), _UNIT)),
+                      _affine(0.5, 1.0, 2.0, -1.0)),
         ),
         "sqrtmap": System(
             name="sqrtmap", space=INTERVAL, dim=1,
@@ -335,7 +349,7 @@ def _catalogue() -> dict[str, System]:
             breakpoints=(0.5,),
             h_top=math.log(2.0), max_log_slope=None,
             branches=(Branch(0.0, 0.5, lambda x: math.sqrt(2.0 * x), _UNIT),
-                      Branch(0.5, 1.0, _affine_fn(2.0, -1.0), _UNIT)),
+                      _affine(0.5, 1.0, 2.0, -1.0)),
         ),
         "staircase": System(
             name="staircase", space=INTERVAL, dim=1,
@@ -355,7 +369,7 @@ def _catalogue() -> dict[str, System]:
             step_many=_wrap_1d(lambda x: x),
             log_slope_many=_slope_1d(lambda x: np.zeros_like(x)),
             h_top=0.0, max_log_slope=0.0,
-            branches=(Branch(0.0, 1.0, lambda x: x, _UNIT),),
+            branches=(Branch(0.0, 1.0, lambda x: x, _UNIT, 1.0),),
             lebesgue_circle_invariant=True,
         ),
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import separated, spaces
-from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rate
+from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums, evaluate,
                    orbit_coords)
@@ -344,13 +344,13 @@ def _pair(ests, point, pot_id, omega):
 
 
 def _rate_pair(data, eps):
-    """(upper, lower) rates of one (n, value) series, fitted at `eps`."""
+    """(upper, lower) rates of one (n, value) series at `eps`, from one
+    walk over its windows."""
     if any(not math.isfinite(v) for _, v in data):
         inf_est = RateEstimate(math.inf, (0, 0), eps, 0.0, "limsup",
                                warning="zero-measure ball")
         return inf_est, inf_est
-    return (growth_rate(data, "limsup", eps=eps),
-            growth_rate(data, "liminf", eps=eps))
+    return growth_rates(data, eps=eps)
 
 
 def local_pressure(sys: System, mu: Measure, pot: Potential, x: Point,

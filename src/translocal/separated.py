@@ -251,11 +251,14 @@ def _min_gap(coords: np.ndarray) -> float:
 def exact_variation(sys: System, lo: float, hi: float, n: int) -> float:
     """Total variation of f^(n-1) over [lo, hi], counted with multiplicity.
 
-    Pushes the interval forward through the system's monotone branch table
-    (an iterate through its base system's).  Branches covered in full
-    contribute a closed-form growth factor, so only the two end fragments
-    are tracked and the cost is linear in n.  This resolves image laps far
-    below any feasible sample resolution.
+    An iterate is computed through its base system.  On a table whose
+    branches are all affine with |slope| s, |(f^(n-1))'| = s^(n-1)
+    everywhere, so the variation is (hi - lo) * s^(n-1) in closed form.
+    Any other table is walked: the interval is pushed forward through the
+    monotone branches, branches covered in full contribute a closed-form
+    growth factor, and only the two end fragments are tracked, so the cost
+    is linear in n.  Both resolve image laps far below any feasible sample
+    resolution.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -266,6 +269,8 @@ def exact_variation(sys: System, lo: float, hi: float, n: int) -> float:
         return exact_variation(sys.base, lo, hi, sys.power * (n - 1) + 1)
     if not sys.branches:
         raise ValueError(f"system {sys.name!r} has no monotone branch table")
+    if sys.uniform_slope is not None:
+        return (hi - lo) * sys.uniform_slope ** (n - 1)
     total = 0.0
     partials = [(float(lo), float(hi))]
     for step in range(n - 1):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from translocal import separated
-from translocal.entropy import (DEFAULT_SCHEDULE, Schedule, cell_log_count,
-                                cell_log_counts, growth_rate,
-                                lyapunov_exponent, restricted_entropy,
-                                toral_translocal, translocal_entropy,
-                                yz_entropy_function)
+from translocal import entropy
+from translocal.entropy import (DEFAULT_SCHEDULE, RateEstimate, Schedule,
+                                cell_log_count, cell_log_counts, growth_rate,
+                                growth_rates, lyapunov_exponent,
+                                restricted_entropy, toral_translocal,
+                                translocal_entropy, yz_entropy_function)
 from translocal.maps import (get_system, iterate_system, log_derivative_sum,
                              toral_eigen_data)
-from translocal.spaces import Ball, circle, interval, torus, word
+from translocal.spaces import DISK, Ball, Point, circle, interval, torus, word
 
 LOG3 = math.log(3.0)
 
@@ -36,6 +37,21 @@ def test_growth_rate_limsup_above_liminf_on_oscillation():
 def test_growth_rate_clamps_negative_slopes():
     data = [(n, -0.2 * n) for n in range(4, 12)]
     assert growth_rate(data, "limsup", clamp=True).value == 0.0
+
+
+def test_growth_rates_pair_the_single_mode_fits():
+    rng = np.random.default_rng(5)
+    data = [(n, 0.5 * n + 0.3 * rng.standard_normal()) for n in range(4, 20)]
+    for clamp in (False, True):
+        pair = growth_rates(data, clamp=clamp, eps=0.01)
+        assert repr(pair) == repr(tuple(
+            growth_rate(data, mode, clamp=clamp, eps=0.01)
+            for mode in ("limsup", "liminf")))
+
+
+def test_growth_rate_rejects_an_unknown_mode():
+    with pytest.raises(ValueError):
+        growth_rate([(n, 0.5 * n) for n in range(4, 9)], "sup")
 
 
 def test_growth_rate_rejects_repeated_n():
@@ -198,3 +214,132 @@ def test_translocal_pushes_each_cell_forward_once(monkeypatch, epsilons):
         calls.clear()
         translocal_entropy(get_system("tripling"), circle(z), 0.3, sched)
         assert 0 < len(calls) <= 2 * len(sched.n_values)
+
+
+# ---------------------------------------------------------------------------
+# Fitting: each curve once, at the reported eps only, against a reference
+# that fits every eps and each mode on its own
+# ---------------------------------------------------------------------------
+
+def _ref_growth_rate(log_counts, mode, clamp, eps):
+    pts = sorted((int(n), float(v)) for n, v in log_counts)
+    if len(pts) < 3:
+        raise ValueError("growth_rate needs at least 3 data points")
+    tail = pts[-max(3, (len(pts) + 1) // 2):]
+    best = None
+    for width in range(max(3, len(tail) - 1), len(tail) + 1):
+        for lo in range(0, len(tail) - width + 1):
+            window = tail[lo:lo + width]
+            slope, resid = entropy._lstsq_slope(window)
+            if best is None or (mode == "limsup" and slope > best[0]) \
+                    or (mode == "liminf" and slope < best[0]):
+                best = (slope, resid, (window[0][0], window[-1][0]))
+    value, resid, win = best
+    if clamp:
+        value = max(value, 0.0)
+    return RateEstimate(value, win, eps, resid, mode)
+
+
+def _ref_curves(sys, ball_for_n, sched):
+    curves = [[] for _ in sched.epsilons]
+    for n in sched.n_values:
+        ball = ball_for_n(n)
+        if ball is None:
+            continue
+        cells = cell_log_counts(sys, ball, n, sched.epsilons, sched.budget)
+        for curve, (logc, capped) in zip(curves, cells):
+            curve.append((n, logc, capped))
+    return curves
+
+
+def _ref_rate(curve, mode, clamp, eps):
+    usable = [(n, v) for n, v, capped in curve if not capped]
+    warning = None
+    if len(usable) < 3:
+        usable = [(n, v) for n, v, _ in curve]
+        warning = "fewer than 3 uncapped cells; capped counts included"
+    est = _ref_growth_rate(usable, mode, clamp, eps)
+    return dataclasses.replace(est, warning=warning)
+
+
+def _ref_trend(per_eps):
+    final = per_eps[-1]
+    trend = final.value - per_eps[-2].value if len(per_eps) > 1 else None
+    return dataclasses.replace(final, eps_trend=trend)
+
+
+def _ref_restricted(sys, region, sched):
+    return _ref_trend([_ref_rate(c, "limsup", False, eps) for c, eps
+                       in zip(_ref_curves(sys, lambda n: region, sched),
+                              sched.epsilons)])
+
+
+def _ref_yz(sys, x, deltas, sched):
+    per_eps = [None] * len(sched.epsilons)
+    for delta in deltas:
+        curves = _ref_curves(sys, lambda n: Ball(x, delta), sched)
+        for i, (c, eps) in enumerate(zip(curves, sched.epsilons)):
+            est = _ref_rate(c, "limsup", False, eps)
+            if per_eps[i] is None or est.value < per_eps[i].value:
+                per_eps[i] = est
+    return _ref_trend(per_eps)
+
+
+def _ref_translocal(sys, z, omega, sched):
+    def ball_for_n(n):
+        r = math.exp(-omega * n)
+        return None if r < 1e-13 else Ball(z, r)
+
+    pairs = list(zip(_ref_curves(sys, ball_for_n, sched), sched.epsilons))
+    return tuple(_ref_trend([_ref_rate(c, mode, True, eps)
+                             for c, eps in pairs])
+                 for mode in ("limsup", "liminf"))
+
+
+FIT_POINTS = {"tripling": circle(0.37), "g3branch": circle(2.0 / 3.0),
+              "pomeau-manneville": interval(0.3), "staircase": interval(0.7),
+              "cat": torus(0.1, 0.2), "fullshift:2": word([0, 1, 1] * 8)}
+FIT_EPSILONS = [(0.02,), (0.05, 0.01), (0.05, 0.02, 0.01),
+                (0.1, 0.05, 0.03, 0.02, 0.01, 0.005)]
+
+
+@pytest.mark.parametrize("epsilons", FIT_EPSILONS)
+@pytest.mark.parametrize("sys_id", sorted(FIT_POINTS))
+def test_estimators_equal_the_per_eps_per_mode_fits(sys_id, epsilons):
+    sys, x = get_system(sys_id), FIT_POINTS[sys_id]
+    sched = Schedule((4, 5, 6, 7, 8, 9, 10, 11), epsilons)
+    for omega in (0.0, 0.3, 1.0):
+        assert repr(translocal_entropy(sys, x, omega, sched)) \
+            == repr(_ref_translocal(sys, x, omega, sched))
+    deltas = (0.2, 0.05)
+    assert repr(yz_entropy_function(sys, x, deltas, sched)) \
+        == repr(_ref_yz(sys, x, deltas, sched))
+    region = Ball(x, 0.25)
+    assert repr(restricted_entropy(sys, region, sched)) \
+        == repr(_ref_restricted(sys, region, sched))
+
+
+def test_capped_curves_carry_the_warning_on_both_rates():
+    # the disk's sampled cells are capped at this budget
+    sys, x = get_system("disk"), Point(DISK, (0.4, 1.0))
+    sched = Schedule((2, 3, 4), (0.2, 0.1), budget=16)
+    got = translocal_entropy(sys, x, 0.1, sched)
+    assert all(est.warning is not None for est in got)
+    assert repr(got) == repr(_ref_translocal(sys, x, 0.1, sched))
+
+
+@pytest.mark.parametrize("epsilons", FIT_EPSILONS)
+def test_translocal_fits_each_reported_curve_once(monkeypatch, epsilons):
+    # 9 n-values leave a 5-point tail: windows 4, 4 and 5 wide, fitted once
+    # for both bounds, for the last eps and the one before it
+    fits = []
+    lstsq_slope = entropy._lstsq_slope
+
+    def counted(window):
+        fits.append(window)
+        return lstsq_slope(window)
+
+    monkeypatch.setattr(entropy, "_lstsq_slope", counted)
+    sched = Schedule(DEFAULT_SCHEDULE.n_values, epsilons)
+    translocal_entropy(get_system("tripling"), circle(0.37), 0.3, sched)
+    assert len(fits) == 3 * min(len(epsilons), 2)

@@ -1,7 +1,8 @@
-"""Hypothesis properties of the exact branch pushforward, of the closed-form
-toral and full-shift cells, of the closed-form window slope, of coded-shift
-language counts, of the kept coded-language walk, and of Bowen-ball
-masses."""
+"""Hypothesis properties of the exact branch pushforward and its
+uniform-slope closed form, of the closed-form toral and full-shift cells, of
+cell counts along an eps ladder, of the closed-form window slope, of
+coded-shift language counts, of the kept coded-language walk, and of
+Bowen-ball masses."""
 import functools
 import itertools
 import math
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 from translocal import symbolic
 from translocal.entropy import (_lstsq_slope, _real_eigenbasis,
-                                cell_log_count)
-from translocal.maps import catalogue_ids, get_system
+                                cell_log_count, cell_log_counts)
+from translocal.maps import (canonical_growth, catalogue_ids, get_system,
+                             monotone_branches)
 from translocal.measures import bowen_ball_measure, get_measure
 from translocal.separated import exact_variation, separation_prefix_length
 from translocal.spaces import (CIRCLE, INTERVAL, SYMBOLIC, Ball, Metric,
-                               circle, symbolic_grid, torus, word)
+                               circle, interval, symbolic_grid, torus, word)
 from translocal.symbolic import (coded_language_count, get_family,
                                  language_membership)
 
@@ -78,6 +80,102 @@ def test_staircase_variation_sums_its_bands(power, n):
         (2 * m + 1) ** k * 2.0 ** -m for m in range(1, STAIRCASE_LEVELS + 1))
     assert exact_variation(_system("staircase", power), 0.0, 1.0, n) \
         == pytest.approx(expected, rel=1e-12)
+
+
+def _walk_variation(sys, lo, hi, n):
+    """The branch pushforward walk: full branches grow in closed form, the
+    end fragments are pushed through their branch maps."""
+    if sys.base is not None:
+        return _walk_variation(sys.base, lo, hi, sys.power * (n - 1) + 1)
+    total = 0.0
+    partials = [(float(lo), float(hi))]
+    for step in range(n - 1):
+        nxt = []
+        for a, b in partials:
+            if b - a <= 0.0:
+                continue
+            for br in monotone_branches(sys, a, b):
+                s, e = max(a, br.lo), min(b, br.hi)
+                if e <= s:
+                    continue
+                tol = 1e-12 * (br.hi - br.lo)
+                if s <= br.lo + tol and e >= br.hi - tol:
+                    total += canonical_growth(sys, br.canonical, n - 2 - step)
+                else:
+                    nxt.append(tuple(sorted((br.fn(s), br.fn(e)))))
+        partials = nxt
+    return total + sum(b - a for a, b in partials)
+
+
+@pytest.mark.parametrize("sys_id", ["tripling", "identity",
+                                    "iterate:tripling:2"])
+@PROPERTY
+@given(lo=st.floats(0.0, 0.98), width=st.floats(0.01, 1.0),
+       n=st.integers(1, 12))
+def test_uniform_slope_variation_is_the_walk(sys_id, lo, width, n):
+    sys = get_system(sys_id)
+    hi = min(lo + width, 1.0)
+    assert (sys.base or sys).uniform_slope is not None
+    assert exact_variation(sys, lo, hi, n) \
+        == pytest.approx(_walk_variation(sys, lo, hi, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("sys_id", ["g3branch", "pomeau-manneville",
+                                    "sqrtmap", "staircase"])
+@PROPERTY
+@given(lo=st.floats(0.0, 0.98), width=st.floats(0.01, 1.0),
+       n=st.integers(1, 7))
+def test_mixed_slope_tables_keep_the_walk(sys_id, lo, width, n):
+    sys = get_system(sys_id)
+    hi = min(lo + width, 1.0)
+    assert sys.uniform_slope is None
+    assert exact_variation(sys, lo, hi, n) == _walk_variation(sys, lo, hi, n)
+
+
+def test_uniform_slope_is_derived_from_the_branch_slopes():
+    assert get_system("tripling").uniform_slope == 3.0
+    assert get_system("identity").uniform_slope == 1.0
+    # an iterate has no table of its own; tori and shifts have none at all
+    for sys_id in ("iterate:tripling:2", "cat", "fullshift:2", "disk"):
+        assert get_system(sys_id).uniform_slope is None
+
+
+@pytest.mark.parametrize("sys_id", ONE_D_IDS)
+def test_branch_slopes_are_the_branch_derivatives(sys_id):
+    for br in get_system(sys_id).branches:
+        if br.slope is None:
+            continue
+        a, b = br.lo + 0.25 * (br.hi - br.lo), br.lo + 0.75 * (br.hi - br.lo)
+        assert (br.fn(b) - br.fn(a)) / (b - a) \
+            == pytest.approx(br.slope, rel=1e-9)
+
+
+# one centre per system, in its own space
+LADDER_CENTERS = {"tripling": lambda u, v: circle(u),
+                  "g3branch": lambda u, v: circle(u),
+                  "pomeau-manneville": lambda u, v: interval(u),
+                  "staircase": lambda u, v: interval(u),
+                  "iterate:tripling:2": lambda u, v: circle(u),
+                  "cat": torus,
+                  "fullshift:2": lambda u, v: word(
+                      [int(u * 2 ** k) % 2 for k in range(1, 25)])}
+
+
+@pytest.mark.parametrize("sys_id", sorted(LADDER_CENTERS))
+@PROPERTY
+@given(u=st.floats(0.0, 1.0, exclude_max=True),
+       v=st.floats(0.0, 1.0, exclude_max=True),
+       radius=st.floats(1e-4, 0.6), n=st.integers(1, 9),
+       epsilons=st.lists(st.floats(1e-3, 0.5), min_size=2, max_size=6,
+                         unique=True))
+def test_cell_counts_do_not_increase_as_eps_grows(sys_id, u, v, radius, n,
+                                                  epsilons):
+    ladder = sorted(epsilons, reverse=True)
+    ball = Ball(LADDER_CENTERS[sys_id](u, v), radius)
+    logs = [logc for logc, _ in cell_log_counts(get_system(sys_id), ball, n,
+                                                ladder, 10_000)]
+    # a descending ladder: each eps is smaller than the one before it
+    assert logs == sorted(logs)
 
 
 def _line_scan_log_count(sys, ball, n, eps):
