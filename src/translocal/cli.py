@@ -52,8 +52,6 @@ def parse_point(sys_obj, text: str) -> spaces.Point:
             return spaces.interval(float(rest))
         if tag == "torus":
             return spaces.torus(*(float(v) for v in rest.split("/")))
-        if tag == "disk":
-            return spaces.disk(*(float(v) for v in rest.split("/")))
         if tag == "word":
             return spaces.word(rest)
         raise ConfigError(f"unknown point tag {tag!r}")
@@ -61,8 +59,6 @@ def parse_point(sys_obj, text: str) -> spaces.Point:
         return spaces.torus(*(float(v) for v in text.split("/")))
     if sys_obj.space == spaces.INTERVAL:
         return spaces.interval(float(text))
-    if sys_obj.space == spaces.DISK:
-        return spaces.disk(*(float(v) for v in text.split("/")))
     if sys_obj.space == spaces.SYMBOLIC:
         return spaces.word(text)
     return spaces.circle(float(text))
@@ -77,8 +73,7 @@ def parse_schedule(cfg) -> Schedule:
     n_max = sec.getint("n_max", base.n_values[-1])
     eps = tuple(float(v) for v in
                 sec.get("epsilons", "0.05,0.02,0.01").split(","))
-    budget = sec.getint("budget", base.budget)
-    return Schedule(tuple(range(n_min, n_max + 1)), eps, budget)
+    return Schedule(tuple(range(n_min, n_max + 1)), eps)
 
 
 def load_config(path: str):

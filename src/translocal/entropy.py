@@ -24,18 +24,23 @@ from . import separated
 from .maps import System, log_derivative_sums, toral_eigen_data
 from .separated import separation_prefix_length
 from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
-                     pinned_symbols, sample_grid)
+                     pinned_symbols)
 
 DEFAULT_DELTAS = (0.04, 0.02, 0.01)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Finite surrogate for the simultaneous limits n -> inf, eps -> 0."""
+    """Finite surrogate for the simultaneous limits n -> inf, eps -> 0.
+
+    Every cell is counted in closed form, so no estimator reads `budget`.
+    It remains only so that a Schedule built positionally from three
+    fields, as the benchmark pass runner builds it, still constructs.
+    """
 
     n_values: tuple = (6, 7, 8, 9, 10, 11, 12, 13, 14)
     epsilons: tuple = (0.05, 0.02, 0.01)
-    budget: int = 5_000_000        # points of a sampled (disk) cell grid
+    budget: int = 5_000_000
 
     def __post_init__(self):
         ns = self.n_values
@@ -127,20 +132,18 @@ def _lstsq_slope(window):
 # Separation curves (one cell per (ball, n), counted for every eps)
 # ---------------------------------------------------------------------------
 
-def cell_log_count(sys: System, ball: Ball, n: int, eps: float,
-                   budget: int) -> tuple[float, bool]:
-    """log of the (n, eps)-separated count inside `ball`, and whether the
-    cell was capped: `cell_log_counts` for the one eps."""
-    return cell_log_counts(sys, ball, n, (eps,), budget)[0]
+def cell_log_count(sys: System, ball: Ball, n: int, eps: float) -> float:
+    """log of the (n, eps)-separated count inside `ball`:
+    `cell_log_counts` for the one eps."""
+    return cell_log_counts(sys, ball, n, (eps,))[0]
 
 
-def cell_log_counts(sys: System, ball: Ball, n: int, epsilons,
-                    budget: int) -> list[tuple[float, bool]]:
-    """[(log of the (n, eps)-separated count inside `ball`, capped)] for
-    each eps of `epsilons`; the eps-free part of the cell is built once.
+def cell_log_counts(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
+    """[log of the (n, eps)-separated count inside `ball`] for each eps of
+    `epsilons`; the eps-free part of the cell is built once.
 
-    1D, toral and symbolic cells are counted exactly and never capped; only
-    the sampled grid of any other system (the disk) is bounded by `budget`.
+    1D, toral and symbolic cells are counted exactly; any other system has
+    no exact count and raises ValueError.
     """
     space = sys.space
     if space in (CIRCLE, INTERVAL):
@@ -149,12 +152,11 @@ def cell_log_counts(sys: System, ball: Ball, n: int, epsilons,
         return _cell_toral(sys, ball, n, epsilons)
     if space == SYMBOLIC:
         return _cell_symbolic(sys, ball, n, epsilons)
-    return [_cell_generic(sys, ball, n, eps, budget) for eps in epsilons]
+    raise ValueError(f"system {sys.name!r} has no exact cell count")
 
 
-def _cell_1d(sys: System, ball: Ball, n: int,
-             epsilons) -> list[tuple[float, bool]]:
-    # exact count from the branch pushforward; never capped
+def _cell_1d(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
+    # exact count from the branch pushforward
     radius = min(ball.radius, 0.5) if sys.space == CIRCLE else ball.radius
     c = ball.center.coords[0]
     wrap = False
@@ -176,8 +178,8 @@ def _cell_1d(sys: System, ball: Ball, n: int,
         tv = separated.exact_variation(sys, max(c - radius, 0.0),
                                        min(c + radius, 1.0), n)
     tv *= 1.0 - 1e-12
-    return [(math.log(max(int(tv / eps), 1) if wrap else int(tv / eps) + 1),
-             False) for eps in epsilons]
+    return [math.log(max(int(tv / eps), 1) if wrap else int(tv / eps) + 1)
+            for eps in epsilons]
 
 
 def _real_eigenbasis(matrix):
@@ -203,8 +205,7 @@ def _real_eigenbasis(matrix):
     return out
 
 
-def _cell_toral(sys: System, ball: Ball, n: int,
-                epsilons) -> list[tuple[float, bool]]:
+def _cell_toral(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
     """Product of the greedy counts along the expanding eigendirections.
 
     A linear map sends the segment z + t*v (|t| <= r) onto a segment along
@@ -223,12 +224,11 @@ def _cell_toral(sys: System, ball: Ball, n: int,
         log_total = 0.0
         for tv in tvs:
             log_total += math.log(int(tv / eps) + 1)
-        out.append((log_total, False))
+        out.append(log_total)
     return out
 
 
-def _cell_symbolic(sys: System, ball: Ball, n: int,
-                   epsilons) -> list[tuple[float, bool]]:
+def _cell_symbolic(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
     """k^(free prefix symbols): words are (n, eps)-separated iff they differ
     within their first `plen` symbols, and the ball pins the first `m_fixed`
     of them to the centre's.  This is the distinct-prefix count of the word
@@ -238,41 +238,23 @@ def _cell_symbolic(sys: System, ball: Ball, n: int,
     out = []
     for eps in epsilons:
         free = max(separation_prefix_length(n, eps, m.beta) - m_fixed, 0)
-        out.append((math.log(m.alphabet ** free), False))
+        out.append(math.log(m.alphabet ** free))
     return out
 
 
-def _cell_generic(sys: System, ball: Ball, n: int, eps: float,
-                  budget: int) -> tuple[float, bool]:
-    cap = min(budget, 3000)
-    maxsum = (sys.max_log_slope or 0.0) * (n - 1)
-    ideal = eps * math.exp(-maxsum)
-    d = len(ball.center.coords)
-    extent = 2 * ball.radius
-    capped = False
-    res = ideal
-    if (extent / res) ** d > cap:
-        res = extent / cap ** (1.0 / d)
-        capped = True
-    res = min(res, ball.radius)
-    grid = sample_grid(ball, res, cap=4 * cap)
-    count, _ = separated.pairwise_count(sys, grid.coords, n, eps)
-    return math.log(count), capped
-
-
 def _separation_curves(sys: System, ball_for_n, sched: Schedule):
-    """One ([(n, log count, capped)], eps) pair per reported eps (see
-    `_reported`), with an n-dependent ball; each (ball, n) cell is built
-    once for all of them."""
+    """One ([(n, log count)], eps) pair per reported eps (see `_reported`),
+    with an n-dependent ball; each (ball, n) cell is built once for all of
+    them."""
     epsilons = _reported(sched)
     curves = [[] for _ in epsilons]
     for n in sched.n_values:
         ball = ball_for_n(n)
         if ball is None:
             continue
-        cells = cell_log_counts(sys, ball, n, epsilons, sched.budget)
-        for curve, (logc, capped) in zip(curves, cells):
-            curve.append((n, logc, capped))
+        for curve, logc in zip(curves, cell_log_counts(sys, ball, n,
+                                                       epsilons)):
+            curve.append((n, logc))
     return list(zip(curves, epsilons))
 
 
@@ -280,22 +262,6 @@ def _reported(sched: Schedule) -> tuple:
     """The eps an estimate reads: the last (smallest) one, whose value it
     reports, and the one before it, for the eps trend."""
     return tuple(sched.epsilons[-2:])
-
-
-def _rates_from_curve(curve, clamp, eps):
-    """(upper, lower) rates of one curve; capped cells are left out while
-    three or more uncapped cells remain."""
-    usable = [(n, v) for n, v, capped in curve if not capped]
-    warning = None
-    if len(usable) < 3:
-        usable = [(n, v) for n, v, _ in curve]
-        warning = "fewer than 3 uncapped cells; capped counts included"
-    rates = growth_rates(usable, clamp=clamp, eps=eps)
-    if warning:
-        rates = tuple(RateEstimate(est.value, est.n_window, est.eps,
-                                   est.residual, est.kind, est.eps_trend,
-                                   warning) for est in rates)
-    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +272,7 @@ def restricted_entropy(sys: System, region: Ball,
                        sched: Schedule = DEFAULT_SCHEDULE) -> RateEstimate:
     """Growth rate of separated counts inside a fixed compact ball."""
     curves = _separation_curves(sys, lambda n: region, sched)
-    return _with_eps_trend([_rates_from_curve(curve, False, eps)[0]
+    return _with_eps_trend([growth_rates(curve, False, eps)[0]
                             for curve, eps in curves])
 
 
@@ -333,7 +299,7 @@ def yz_entropy_function(sys: System, x: Point,
         ball = Ball(x, delta)
         curves = _separation_curves(sys, lambda n: ball, sched)
         for i, (curve, eps) in enumerate(curves):
-            est = _rates_from_curve(curve, False, eps)[0]
+            est = growth_rates(curve, False, eps)[0]
             if per_eps[i] is None or est.value < per_eps[i].value:
                 per_eps[i] = est
     return _with_eps_trend(per_eps)
@@ -353,7 +319,7 @@ def translocal_entropy(sys: System, z: Point, omega: float,
             return None     # below representable sample resolution
         return Ball(z, r)
 
-    rates = [_rates_from_curve(curve, True, eps)
+    rates = [growth_rates(curve, True, eps)
              for curve, eps in _separation_curves(sys, ball_for_n, sched)]
     return (_with_eps_trend([upper for upper, _ in rates]),
             _with_eps_trend([lower for _, lower in rates]))

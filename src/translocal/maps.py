@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (HorizonExceededError, SingularOrbitError,
                      SpaceMismatchError)
-from .spaces import CIRCLE, DISK, INTERVAL, SYMBOLIC, TORUS, Point
+from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Point
 
 DEFAULT_HORIZON = 100_000
 STAIRCASE_LEVEL_CAP = 12
@@ -229,11 +229,6 @@ def _staircase_log_slope(x):
     return np.log(2.0 * n + 1.0)
 
 
-def _disk_step(c):
-    r, t = c[:, 0], c[:, 1]
-    return np.stack([r * (2.0 - r), (3.0 * t) % (2.0 * math.pi)], axis=1)
-
-
 def _wrap_1d(fn):
     def step(c):
         return fn(c[:, 0]).reshape(-1, 1)
@@ -358,11 +353,6 @@ def _catalogue() -> dict[str, System]:
             breakpoints=(),
             h_top=None, max_log_slope=math.log(2 * STAIRCASE_LEVEL_CAP + 1),
             branches=_staircase_branches(),
-        ),
-        "disk": System(
-            name="disk", space=DISK, dim=2,
-            step_many=_disk_step,
-            h_top=log3, max_log_slope=log3,
         ),
         "identity": System(
             name="identity", space=CIRCLE, dim=1,

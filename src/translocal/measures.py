@@ -2,10 +2,11 @@
 rates from measure decay, and local/translocal pressure estimates.
 
 Closed forms are used wherever they exist (interval lengths, cylinder
-masses, Dirac membership); Lebesgue Bowen balls of circle maps are measured
-by bisecting each side, with every bisection of an n-window advancing in
-lockstep, one orbit pass per round; a deterministic quasi-Monte-Carlo
-fallback covers the rest.
+masses, Dirac membership, the expanding spectrum of a toral map); Lebesgue
+Bowen balls of circle maps are measured by bisecting each side, with every
+bisection of an n-window advancing in lockstep, one orbit pass per round.
+Any other (system, measure) pair has no Bowen-ball backend and raises
+ValueError.
 """
 from __future__ import annotations
 
@@ -18,12 +19,10 @@ from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums, evaluate,
-                   orbit_coords)
-from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point,
-                     distance)
+                   orbit_coords, toral_eigen_data)
+from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
+                     pinned_symbols)
 
-_QMC_POINTS = 1 << 14
-_HALTON_BASES = (2, 3, 5, 7, 11, 13)
 _BISECTION_STEPS = 60            # halvings of [0, eps] per Bowen-ball side
 _TREE_DEPTH = 6                  # of them decided per orbit pass
 
@@ -112,37 +111,6 @@ def _require_invariant(sys: System, mu: Measure) -> None:
 # Ball measures
 # ---------------------------------------------------------------------------
 
-def _halton(n: int, d: int) -> np.ndarray:
-    """First n points of the unscrambled Halton sequence in [0, 1)^d.
-
-    Column j is the radical inverse of 0..n-1 in the j-th prime.  Digits
-    are added least significant first, the order of the standard Van der
-    Corput recurrence, so the points are reproducible bit for bit.
-    """
-    if not 1 <= d <= len(_HALTON_BASES):
-        raise ValueError(
-            f"Halton dimension must be in 1..{len(_HALTON_BASES)}, got {d}")
-    out = np.zeros((n, d))
-    for j, base in enumerate(_HALTON_BASES[:d]):
-        q = np.arange(n)
-        b2r = 1.0 / base
-        while q.any():
-            out[:, j] += (q % base) * b2r
-            b2r /= base
-            q //= base
-    return out
-
-
-def _pinned_symbols(radius: float, beta: float, closed: bool) -> int:
-    # closed ball: words within distance radius, i.e. beta^-m <= radius
-    if radius >= 1.0:
-        return 0
-    m = math.ceil(math.log(1.0 / radius) / math.log(beta) - 1e-12)
-    if not closed and beta ** (-m) >= radius:
-        m += 1
-    return m
-
-
 def ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None) -> float:
     """Exact measure of a metric ball where a closed form exists."""
     if ball.center.space != mu.space:
@@ -154,9 +122,8 @@ def ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None) -> float
         side = min(2.0 * ball.radius, 1.0)
         return side ** len(ball.center.coords)
     if mu.variant == "bernoulli":
-        beta = (metric or Metric(SYMBOLIC, alphabet=len(mu.p))).beta
-        m = _pinned_symbols(ball.radius, beta, ball.closed)
-        m = min(m, len(ball.center.word))
+        m = pinned_symbols(ball, metric or Metric(SYMBOLIC,
+                                                  alphabet=len(mu.p)))
         mass = 1.0
         for i in range(m):
             mass *= mu.p[ball.center.word[i]]
@@ -165,30 +132,6 @@ def ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None) -> float
         m = metric or Metric(mu.space, alphabet=2)
         return 1.0 if ball.contains(mu.atom, m) else 0.0
     raise ValueError(f"unknown measure variant {mu.variant!r}")
-
-
-def qmc_ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None,
-                     n_points: int = _QMC_POINTS) -> tuple[float, float]:
-    """Low-discrepancy estimate of a ball's measure with a standard error.
-
-    The points are the first `n_points` of the unscrambled Halton sequence
-    (`_halton`, radical inverses in the first primes), so repeated runs agree
-    exactly.
-    Supported for the Lebesgue variants; exists mainly to cross-check the
-    closed forms and to handle non-standard metrics.
-    """
-    if mu.variant not in ("lebesgue-circle", "lebesgue-torus"):
-        raise ValueError("quasi-Monte-Carlo backend needs a Lebesgue variant")
-    d = len(ball.center.coords)
-    m = metric or Metric(mu.space)
-    pts = _halton(n_points, d)
-    space = mu.space
-    hits = np.fromiter(
-        (ball.contains(Point(space, tuple(row)), m) for row in pts),
-        dtype=float, count=n_points)
-    frac = float(hits.mean())
-    stderr = float(hits.std() / math.sqrt(n_points))
-    return frac, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +150,8 @@ def bowen_ball_measure(sys: System, mu: Measure, x: Point, n: int,
         return 1.0 if separated.bowen_distance(sys, x, mu.atom, n, m) < eps \
             else 0.0
     if mu.variant == "bernoulli":
-        beta = Metric(SYMBOLIC, alphabet=len(mu.p)).beta
-        m = _pinned_symbols(eps, beta, closed=False)
+        m = pinned_symbols(Ball(x, eps, closed=False),
+                           Metric(SYMBOLIC, alphabet=len(mu.p)))
         depth = min((n - 1) + m, len(x.word))
         mass = 1.0
         for i in range(depth):
@@ -217,8 +160,10 @@ def bowen_ball_measure(sys: System, mu: Measure, x: Point, n: int,
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:
         return min(_bowen_extents(sys, x, (n,), eps)[0], 1.0)
     if mu.variant == "lebesgue-torus" and sys.matrix is not None:
-        return _toral_bowen_measure(sys, x, n, eps)
-    return _sampled_bowen_measure(sys, mu, x, n, eps)
+        return _toral_bowen_measure(sys, n, eps)
+    raise ValueError(
+        f"no Bowen-ball backend for measure {mu.variant!r} on "
+        f"system {sys.name!r}")
 
 
 def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
@@ -289,32 +234,15 @@ def _bowen_extents(sys: System, x: Point, n_values,
     return (side[:len(n_values)] + side[len(n_values):]).tolist()
 
 
-def _toral_bowen_measure(sys: System, x: Point, n: int, eps: float) -> float:
+def _toral_bowen_measure(sys: System, n: int, eps: float) -> float:
     # box volume shrinking by the expanding spectrum; exact for diagonalizable
     # integer matrices with the sup metric up to eigenbasis distortion
-    a = np.asarray(sys.matrix, dtype=float)
-    vals = np.linalg.eigvals(a)
     vol = 1.0
-    for lam in vals:
-        mod = abs(lam)
+    for mod, mult in toral_eigen_data(sys):
         factor = mod ** (n - 1) if mod > 1.0 else 1.0
-        vol *= min(2.0 * eps / factor, 1.0)
+        for _ in range(mult):
+            vol *= min(2.0 * eps / factor, 1.0)
     return vol
-
-
-def _sampled_bowen_measure(sys: System, mu: Measure, x: Point, n: int,
-                           eps: float) -> float:
-    if mu.variant not in ("lebesgue-circle", "lebesgue-torus"):
-        raise ValueError(
-            f"no Bowen-ball backend for measure {mu.variant!r} on "
-            f"system {sys.name!r}")
-    d = len(x.coords)
-    pts = _halton(_QMC_POINTS, d)
-    orbits = separated._embed(sys.space, orbit_coords(sys, pts, n))
-    ref = separated._embed(sys.space,
-                           orbit_coords(sys, np.asarray([x.coords]), n))[0]
-    dist = separated._bowen_many(sys.space, orbits, ref)
-    return float((dist < eps).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Bowen metrics and maximal (n, eps)-separated-set estimation.
+"""Bowen metrics and maximal (n, eps)-separated-set counting.
 
-Two counting paths:
+The entropy estimators count every cell in closed form.  From this module
+they use `exact_variation`, the image variation of a 1D interval pushed
+forward through the map's monotone branch table, and
+`separation_prefix_length` for shifts.  The sample-based counts are the
+references those closed forms are checked against:
 
 * a pairwise greedy scan (deterministic sample order, admit a point iff its
-  Bowen distance to every admitted point exceeds eps) — the reference path;
+  Bowen distance to every admitted point exceeds eps);
 * a variation scan for large sorted 1D (circle or interval) samples.  For
   the expanding catalogue maps with eps below the folding scale, the Bowen
   distance of two nearby sample points equals the accumulated variation of
@@ -23,7 +27,7 @@ import numpy as np
 from . import spaces
 from .errors import SpaceMismatchError
 from .maps import System, canonical_growth, monotone_branches, orbit_coords
-from .spaces import CIRCLE, DISK, INTERVAL, SYMBOLIC, TORUS, Grid, Metric, Point
+from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Metric, Point
 
 _PAIRWISE_LIMIT = 4000
 _BLOCK = 1 << 17
@@ -61,8 +65,8 @@ def bowen_distance(sys: System, a: Point, b: Point, n: int,
     m = m or default_metric(sys)
     if sys.space == SYMBOLIC:
         return _symbolic_bowen(a.word, b.word, n, m.beta)
-    oa = _embed(sys.space, orbit_coords(sys, np.asarray([a.coords]), n))
-    ob = _embed(sys.space, orbit_coords(sys, np.asarray([b.coords]), n))
+    oa = orbit_coords(sys, np.asarray([a.coords]), n)
+    ob = orbit_coords(sys, np.asarray([b.coords]), n)
     return float(_bowen_many(sys.space, oa, ob[0])[0])
 
 
@@ -135,15 +139,6 @@ def _resolution_warning(q: SeparationQuery) -> str | None:
     return None
 
 
-def _embed(space: str, orbits: np.ndarray) -> np.ndarray:
-    # (N, n, d) orbit coordinates -> embedding where per-time distances are
-    # plain componentwise (circle handled separately in _bowen_many).
-    if space == DISK:
-        r, t = orbits[..., 0], orbits[..., 1]
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-    return orbits
-
-
 def _bowen_many(space: str, orbits: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Bowen distance of each orbit row (N, n, d) to a reference orbit (n, d)."""
     diff = np.abs(orbits - ref[None, :, :])
@@ -153,15 +148,13 @@ def _bowen_many(space: str, orbits: np.ndarray, ref: np.ndarray) -> np.ndarray:
         return diff.max(axis=(1, 2))
     if space == INTERVAL:
         return diff.max(axis=(1, 2))
-    if space == DISK:
-        return np.sqrt((diff ** 2).sum(axis=2)).max(axis=1)
     raise SpaceMismatchError(f"no numeric Bowen kernel for {space!r}")
 
 
 def pairwise_count(sys: System, coords: np.ndarray, n: int, eps: float,
                    strict: bool = True) -> tuple[int, int]:
     """Reference greedy: candidate vs. every admitted point."""
-    orbits = _embed(sys.space, orbit_coords(sys, coords, n))
+    orbits = orbit_coords(sys, coords, n)
     evals = coords.shape[0] * n
     admitted = np.empty((0, n, orbits.shape[2]))
     for row in orbits:

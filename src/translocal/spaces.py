@@ -1,11 +1,13 @@
 """Phase spaces: points, metrics, balls and deterministic sampling grids.
 
 Supported spaces: the circle R/Z, the d-torus (sup metric, so balls are
-coordinate boxes), the unit interval, the closed unit disk (Euclidean via the
-planar embedding), and one-sided symbol sequences over a finite alphabet with
-the metric d(u, v) = beta^(-m), m the first index where u and v disagree.
+coordinate boxes), the unit interval, and one-sided symbol sequences over a
+finite alphabet with the metric d(u, v) = beta^(-m), m the first index where
+u and v disagree.
 
-Grids are deterministic: the same request always yields the same point list.
+The estimators count every cell in closed form and build no grid.  The
+deterministic grids (the same request always yields the same point list)
+are the sample sets of the reference counts in `translocal.separated`.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .errors import BudgetExceededError, SpaceMismatchError
 CIRCLE = "circle"
 TORUS = "torus"
 INTERVAL = "interval"
-DISK = "disk"
 SYMBOLIC = "symbolic"
 
 _EPS = 1e-9
@@ -56,12 +57,6 @@ def interval(x: float) -> Point:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"interval coordinate {x} outside [0, 1]")
     return Point(INTERVAL, (x,))
-
-
-def disk(r: float, angle: float) -> Point:
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"disk radius {r} outside [0, 1]")
-    return Point(DISK, (r, angle % (2.0 * math.pi)))
 
 
 def word(symbols) -> Point:
@@ -104,13 +99,6 @@ def distance(a: Point, b: Point, m: Metric) -> float:
         return max(circle_dist(x, y) for x, y in zip(a.coords, b.coords))
     if m.space == INTERVAL:
         return abs(a.coords[0] - b.coords[0])
-    if m.space == DISK:
-        ra, ta = a.coords
-        rb, tb = b.coords
-        return math.hypot(
-            ra * math.cos(ta) - rb * math.cos(tb),
-            ra * math.sin(ta) - rb * math.sin(tb),
-        )
     if m.space == SYMBOLIC:
         horizon = min(len(a.word), len(b.word))
         for i in range(horizon):
@@ -199,19 +187,6 @@ def sample_grid(ball: Ball, resolution: float, cap: int | None = None) -> Grid:
         coords = np.stack([m.ravel() for m in mesh], axis=1)
         return Grid(ball, resolution, coords=coords)
 
-    if space == DISK:
-        r0, t0 = ball.center.coords
-        cx, cy = r0 * math.cos(t0), r0 * math.sin(t0)
-        offs = _axis_offsets(ball.radius, resolution)
-        _check_budget(len(offs) ** 2, cap)
-        gx, gy = np.meshgrid(cx + offs, cy + offs, indexing="ij")
-        gx, gy = gx.ravel(), gy.ravel()
-        rad = np.hypot(gx, gy)
-        keep = (np.hypot(gx - cx, gy - cy) <= ball.radius + _EPS) & (rad <= 1.0)
-        coords = np.stack([rad[keep], np.arctan2(gy[keep], gx[keep]) % (2 * math.pi)],
-                          axis=1)
-        return Grid(ball, resolution, coords=coords)
-
     if space == SYMBOLIC:
         m = Metric(SYMBOLIC)
         return _symbolic_grid(ball, resolution, m, cap)
@@ -228,8 +203,9 @@ def symbolic_grid(ball: Ball, resolution: float, metric: Metric,
 
 def pinned_symbols(ball: Ball, metric: Metric) -> int:
     """How many leading symbols of the centre every word of a symbolic ball
-    shares, as fixed by the ball's radius."""
-    if ball.radius >= 1.0:
+    shares, as fixed by the ball's radius.  The open unit ball pins one:
+    words that differ at index 0 are at distance exactly 1."""
+    if ball.radius > 1.0:
         return 0
     beta = metric.beta
     m_fixed = math.ceil(math.log(1.0 / ball.radius) / math.log(beta) - _EPS)

@@ -1,7 +1,6 @@
 """Command-line entry points: configs, reports, and exit codes."""
 import csv
 import json
-import math
 
 import pytest
 
@@ -17,6 +16,7 @@ def test_list_names_all_catalogue_maps(capsys):
     out = capsys.readouterr().out
     for name in ("tripling", "pomeau-manneville", "staircase"):
         assert name in out
+    assert "disk" not in out
 
 
 EXAMPLE_PARAMETERS = {"<matrix>": "2,0;0,3", "<k>": "3", "<id>": "g3branch",
@@ -131,12 +131,13 @@ def test_point_outside_the_system_space_exits_2(tmp_path, capsys, kind):
     cfg = write_config(tmp_path / "mismatch.ini", f"""
 [experiment]
 kind = {kind}
-system = disk
+system = pomeau-manneville
 point = circle:0.3
 """)
     assert run_cli(["run", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "disk" in err
+    assert err.startswith("config error:")
+    assert "'circle'" in err and "'interval'" in err
     assert "Traceback" not in err
 
 
@@ -153,25 +154,21 @@ point = circle:0.455118552
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("point", ["disk:0.5/1.0", "0.5/1.0"])
-def test_run_translocal_on_disk(tmp_path, capsys, point):
+@pytest.mark.parametrize("system,point", [("disk", "0.5/1.0"),
+                                          ("disk", "circle:0.3"),
+                                          ("tripling", "disk:0.5/1.0")])
+def test_disk_system_or_point_exits_2(tmp_path, capsys, system, point):
+    # the disk is not in the catalogue, and `disk:` is no point tag
     cfg = write_config(tmp_path / "disk.ini", f"""
 [experiment]
 kind = translocal
-system = disk
+system = {system}
 point = {point}
-
-[schedule]
-n_min = 2
-n_max = 4
-epsilons = 0.2,0.1
 """)
-    csv_path = tmp_path / "disk.csv"
-    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
-    with csv_path.open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["system"] for row in rows] == ["disk"]
-    assert math.isfinite(float(rows[0]["value"]))
+    assert run_cli(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "disk" in err
+    assert "Traceback" not in err
 
 
 def test_estimate_warning_reaches_the_csv(tmp_path, capsys):

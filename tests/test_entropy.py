@@ -14,7 +14,7 @@ from translocal.entropy import (DEFAULT_SCHEDULE, RateEstimate, Schedule,
                                 translocal_entropy, yz_entropy_function)
 from translocal.maps import (get_system, iterate_system, log_derivative_sum,
                              toral_eigen_data)
-from translocal.spaces import DISK, Ball, Point, circle, interval, torus, word
+from translocal.spaces import Ball, circle, interval, torus, word
 
 LOG3 = math.log(3.0)
 
@@ -136,13 +136,12 @@ def test_translocal_rejects_negative_omega():
 
 
 def test_symbolic_cell_is_exact_beyond_the_budget():
-    # 2^14 words of 14 symbols, far more than the budget of 64: n = 10 and
-    # eps = 0.01 separate words that differ within 9 + log(100) symbols
+    # 2^14 words of 14 symbols, counted without enumerating them: n = 10 and
+    # eps = 0.01 separate words that differ within 9 + log(100) symbols.  A
+    # schedule's budget is read by no estimator.
     sys = get_system("fullshift:2")
     ball = Ball(word([0] * 24), 1.0)
-    logc, capped = cell_log_count(sys, ball, 10, 0.01, budget=64)
-    assert not capped
-    assert logc == math.log(2 ** 14)
+    assert cell_log_count(sys, ball, 10, 0.01) == math.log(2 ** 14)
     sched = Schedule((6, 7, 8, 9), (0.05,), budget=64)
     est = restricted_entropy(sys, ball, sched)
     assert est.warning is None
@@ -150,16 +149,12 @@ def test_symbolic_cell_is_exact_beyond_the_budget():
 
 
 def test_toral_cell_is_exact_beyond_the_budget():
-    # about 350,000 separated points along the unstable direction, far more
-    # than the budget of 64, which must not change the count
+    # about 350,000 separated points along the unstable direction, counted
+    # in closed form without samples
     sys = get_system("cat")
     ball = Ball(torus(0.1, 0.2), 0.3)
-    small = cell_log_count(sys, ball, 10, 0.01, budget=64)
-    large = cell_log_count(sys, ball, 10, 0.01, budget=5_000_000)
-    assert small == large
-    assert not small[1]
     stretch = ((1 + math.sqrt(5)) / 2) ** 2
-    assert small[0] == pytest.approx(
+    assert cell_log_count(sys, ball, 10, 0.01) == pytest.approx(
         math.log(2 * 0.3 * stretch ** 9 / 0.01), rel=0.01)
 
 
@@ -172,7 +167,14 @@ def test_nested_iterate_whole_circle_entropy():
 def test_1d_cell_without_branch_table_is_rejected():
     tableless = dataclasses.replace(get_system("tripling"), branches=())
     with pytest.raises(ValueError):
-        cell_log_count(tableless, Ball(circle(0.3), 0.1), 5, 0.01, 10_000)
+        cell_log_count(tableless, Ball(circle(0.3), 0.1), 5, 0.01)
+
+
+def test_cell_without_an_exact_count_is_rejected():
+    # a torus map with no integer matrix has no closed-form cell
+    matrixless = dataclasses.replace(get_system("cat"), matrix=None)
+    with pytest.raises(ValueError):
+        cell_log_counts(matrixless, Ball(torus(0.1, 0.2), 0.1), 5, (0.01,))
 
 
 # whole circle, inside, split across 0 on either side, interval, an
@@ -192,8 +194,8 @@ def test_all_eps_cell_equals_the_per_eps_cells(sys_id, center, radius):
     sys, ball = get_system(sys_id), Ball(center, radius)
     epsilons = (0.2, 0.05, 0.02, 0.013, 0.01, 0.001)
     for n in (1, 4, 9):
-        got = cell_log_counts(sys, ball, n, epsilons, 10_000)
-        want = [cell_log_count(sys, ball, n, eps, 10_000) for eps in epsilons]
+        got = cell_log_counts(sys, ball, n, epsilons)
+        want = [cell_log_count(sys, ball, n, eps) for eps in epsilons]
         assert repr(got) == repr(want)
 
 
@@ -246,20 +248,10 @@ def _ref_curves(sys, ball_for_n, sched):
         ball = ball_for_n(n)
         if ball is None:
             continue
-        cells = cell_log_counts(sys, ball, n, sched.epsilons, sched.budget)
-        for curve, (logc, capped) in zip(curves, cells):
-            curve.append((n, logc, capped))
+        for curve, logc in zip(curves, cell_log_counts(sys, ball, n,
+                                                       sched.epsilons)):
+            curve.append((n, logc))
     return curves
-
-
-def _ref_rate(curve, mode, clamp, eps):
-    usable = [(n, v) for n, v, capped in curve if not capped]
-    warning = None
-    if len(usable) < 3:
-        usable = [(n, v) for n, v, _ in curve]
-        warning = "fewer than 3 uncapped cells; capped counts included"
-    est = _ref_growth_rate(usable, mode, clamp, eps)
-    return dataclasses.replace(est, warning=warning)
 
 
 def _ref_trend(per_eps):
@@ -269,7 +261,7 @@ def _ref_trend(per_eps):
 
 
 def _ref_restricted(sys, region, sched):
-    return _ref_trend([_ref_rate(c, "limsup", False, eps) for c, eps
+    return _ref_trend([_ref_growth_rate(c, "limsup", False, eps) for c, eps
                        in zip(_ref_curves(sys, lambda n: region, sched),
                               sched.epsilons)])
 
@@ -279,7 +271,7 @@ def _ref_yz(sys, x, deltas, sched):
     for delta in deltas:
         curves = _ref_curves(sys, lambda n: Ball(x, delta), sched)
         for i, (c, eps) in enumerate(zip(curves, sched.epsilons)):
-            est = _ref_rate(c, "limsup", False, eps)
+            est = _ref_growth_rate(c, "limsup", False, eps)
             if per_eps[i] is None or est.value < per_eps[i].value:
                 per_eps[i] = est
     return _ref_trend(per_eps)
@@ -291,7 +283,7 @@ def _ref_translocal(sys, z, omega, sched):
         return None if r < 1e-13 else Ball(z, r)
 
     pairs = list(zip(_ref_curves(sys, ball_for_n, sched), sched.epsilons))
-    return tuple(_ref_trend([_ref_rate(c, mode, True, eps)
+    return tuple(_ref_trend([_ref_growth_rate(c, mode, True, eps)
                              for c, eps in pairs])
                  for mode in ("limsup", "liminf"))
 
@@ -317,15 +309,6 @@ def test_estimators_equal_the_per_eps_per_mode_fits(sys_id, epsilons):
     region = Ball(x, 0.25)
     assert repr(restricted_entropy(sys, region, sched)) \
         == repr(_ref_restricted(sys, region, sched))
-
-
-def test_capped_curves_carry_the_warning_on_both_rates():
-    # the disk's sampled cells are capped at this budget
-    sys, x = get_system("disk"), Point(DISK, (0.4, 1.0))
-    sched = Schedule((2, 3, 4), (0.2, 0.1), budget=16)
-    got = translocal_entropy(sys, x, 0.1, sched)
-    assert all(est.warning is not None for est in got)
-    assert repr(got) == repr(_ref_translocal(sys, x, 0.1, sched))
 
 
 @pytest.mark.parametrize("epsilons", FIT_EPSILONS)

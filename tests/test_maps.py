@@ -113,6 +113,8 @@ def test_orbit_length_and_start():
 def test_unknown_system_raises():
     with pytest.raises(KeyError):
         get_system("nosuchmap")
+    with pytest.raises(KeyError):
+        get_system("disk")
 
 
 def test_fullshift_needs_two_symbols():

@@ -15,11 +15,10 @@ from translocal import measures, separated
 from translocal.entropy import DEFAULT_SCHEDULE, Schedule
 from translocal.maps import (ZERO_POTENTIAL, birkhoff_sum, catalogue_ids,
                              get_potential, get_system, iterate_system)
-from translocal.measures import (_halton, ball_measure, bowen_ball_measure,
+from translocal.measures import (ball_measure, bowen_ball_measure,
                                  brin_katok, certified_invariant, get_measure,
-                                 local_pressure, qmc_ball_measure,
-                                 translocal_local_pressure)
-from translocal.spaces import Ball, circle, torus, word
+                                 local_pressure, translocal_local_pressure)
+from translocal.spaces import Ball, circle, interval, torus, word
 
 LOG3 = math.log(3.0)
 
@@ -47,32 +46,6 @@ def test_dirac_ball_membership():
     mu = get_measure("dirac:circle:0.25")
     assert ball_measure(mu, Ball(circle(0.3), 0.1)) == 1.0
     assert ball_measure(mu, Ball(circle(0.6), 0.1)) == 0.0
-
-
-def test_qmc_agrees_with_closed_form():
-    mu = get_measure("lebesgue-circle")
-    frac, stderr = qmc_ball_measure(mu, Ball(circle(0.4), 0.1))
-    assert frac == pytest.approx(0.2, abs=max(4 * stderr, 0.004))
-
-
-def test_qmc_ball_measure_pinned_value():
-    # the value scipy's qmc.Halton(d=1, scramble=False) points gave
-    mu = get_measure("lebesgue-circle")
-    assert repr(qmc_ball_measure(mu, Ball(circle(0.4), 0.1))) \
-        == "(0.20001220703125, 0.0031250715233000458)"
-
-
-def test_halton_columns_are_radical_inverses():
-    pts = _halton(5, 2)
-    assert pts[:, 0].tolist() == [0.0, 1 / 2, 1 / 4, 3 / 4, 1 / 8]
-    assert pts[:, 1].tolist() == pytest.approx(
-        [0.0, 1 / 3, 2 / 3, 1 / 9, 4 / 9], abs=1e-15)
-
-
-@pytest.mark.parametrize("d", [0, 7])
-def test_halton_rejects_dimensions_outside_its_prime_table(d):
-    with pytest.raises(ValueError):
-        _halton(4, d)
 
 
 def test_cli_import_loads_no_scipy():
@@ -215,6 +188,66 @@ def test_bowen_ball_measure_bernoulli_cylinder():
     depth = (n - 1) + math.ceil(math.log(1 / eps))
     assert bowen_ball_measure(sys, mu, w, n, eps) == pytest.approx(
         0.5 ** depth)
+
+
+# (radius, symbols pinned by the closed ball, by the open ball) under the
+# default base beta = e: a radius of exactly e^-m pins m symbols when closed
+# and m + 1 when open, a radius strictly between e^-m and e^-(m-1) pins m
+PINNED = [(1.0, 0, 1), (1.5, 0, 0), (math.e ** -1, 1, 2), (0.5, 1, 1),
+          (math.e ** -3, 3, 4), (1.7 * math.e ** -3, 3, 3),
+          (math.e ** -5, 5, 6), (0.9 * math.e ** -5, 6, 6),
+          (math.e ** -20, 12, 12)]
+
+
+@pytest.mark.parametrize("radius,closed_pins,open_pins", PINNED)
+def test_bernoulli_masses_are_the_pinned_weights(radius, closed_pins,
+                                                 open_pins):
+    p = (0.2, 0.3, 0.5)
+    sys, mu = get_system("fullshift:3"), get_measure("bernoulli:0.2,0.3,0.5")
+    symbols = [2, 0, 1, 1, 2, 0, 0, 2, 1, 0, 2, 1]
+    x = word(symbols)
+
+    def weights(m):
+        return math.prod(p[s] for s in symbols[:m])
+
+    assert ball_measure(mu, Ball(x, radius)) == weights(closed_pins)
+    assert ball_measure(mu, Ball(x, radius, closed=False)) \
+        == weights(open_pins)
+    # the Bowen ball of radius eps pins n - 1 more symbols than the open ball
+    for n in (1, 2, 5, 9):
+        assert bowen_ball_measure(sys, mu, x, n, radius) \
+            == weights(min(n - 1 + open_pins, len(symbols)))
+
+
+def _ref_toral_bowen_measure(sys, n, eps):
+    """The box volume from every eigenvalue of `np.linalg.eigvals`."""
+    vol = 1.0
+    for lam in np.linalg.eigvals(np.asarray(sys.matrix, dtype=float)):
+        mod = abs(lam)
+        factor = mod ** (n - 1) if mod > 1.0 else 1.0
+        vol *= min(2.0 * eps / factor, 1.0)
+    return float(vol)
+
+
+@pytest.mark.parametrize("sys_id", ["cat", "toral:2,0;0,3", "iterate:cat:2"])
+def test_toral_bowen_measure_equals_the_eigvals_volume(sys_id):
+    sys, mu = get_system(sys_id), get_measure("lebesgue-torus")
+    x = torus(0.1, 0.2)
+    for eps in (0.01, 0.05, 0.3, 0.6):
+        for n in range(2, 12):
+            assert repr(bowen_ball_measure(sys, mu, x, n, eps)) \
+                == repr(_ref_toral_bowen_measure(sys, n, eps)), (eps, n)
+
+
+@pytest.mark.parametrize("sys_id,measure_id,x", [
+    ("pomeau-manneville", "lebesgue-circle", interval(0.3)),
+    ("cat", "lebesgue-circle", torus(0.1, 0.2)),
+    ("tripling", "lebesgue-torus", circle(0.3))])
+def test_bowen_ball_measure_without_a_backend_is_rejected(sys_id, measure_id,
+                                                          x):
+    with pytest.raises(ValueError):
+        bowen_ball_measure(get_system(sys_id), get_measure(measure_id), x, 3,
+                           0.01)
 
 
 def test_brin_katok_tripling():
