@@ -119,8 +119,10 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
         return sys_obj.h_top, "catalogue topological entropy", 0.10
     if kind == "brin-katok":
         mu = extra.get("measure")
-        if sys_obj.name == "tripling" and mu == "lebesgue-circle":
-            return math.log(3.0), "exact Bowen-interval length decay", 0.05
+        root, power = maps.root_system(sys_obj)
+        if mu == "lebesgue-circle" and root.uniform_slope is not None:
+            return (power * math.log(root.uniform_slope),
+                    "exact Bowen-interval length decay", 0.05)
         if sys_obj.name.startswith("fullshift:2") \
                 and mu == "bernoulli:0.5,0.5":
             return math.log(2.0), "fair-coin cylinder mass decay", 0.05

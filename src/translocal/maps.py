@@ -445,6 +445,14 @@ def iterate_system(sys: System, r: int) -> System:
     )
 
 
+def root_system(sys: System) -> tuple[System, int]:
+    """(g, r) with `sys` = g^r and g no iterate; nested iterates multiply."""
+    r = 1
+    while sys.base is not None:
+        sys, r = sys.base, r * sys.power
+    return sys, r
+
+
 def catalogue_ids() -> list[str]:
     return sorted(_CATALOGUE) + ["toral:<matrix>", "fullshift:<k>",
                                  "iterate:<id>:<r>"]
@@ -465,6 +473,11 @@ def monotone_branches(sys: System, lo: float, hi: float) -> tuple:
         raise ValueError(f"system {sys.name!r} has no monotone branch table")
     return table[bisect_right(table, lo, key=_BRANCH_HI):
                  bisect_left(table, hi, key=_BRANCH_LO)]
+
+
+def branch_index(sys: System, c: float) -> int:
+    """Index in `sys`'s table of the branch that holds c."""
+    return bisect_right(sys.branches, c, key=_BRANCH_LO) - 1
 
 
 def canonical_growth(sys: System, canonical: tuple, k: int) -> float:

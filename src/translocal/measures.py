@@ -2,11 +2,10 @@
 rates from measure decay, and local/translocal pressure estimates.
 
 Closed forms are used wherever they exist (interval lengths, cylinder
-masses, Dirac membership, the expanding spectrum of a toral map); Lebesgue
-Bowen balls of circle maps are measured by bisecting each side, with every
-bisection of an n-window advancing in lockstep, one orbit pass per round.
-Any other (system, measure) pair has no Bowen-ball backend and raises
-ValueError.
+masses, Dirac membership, the expanding spectrum of a toral map); a
+Lebesgue Bowen ball of a circle map is eps pulled back exactly through the
+affine branches along the orbit.  Any other (system, measure) pair has no
+Bowen-ball backend and raises ValueError.
 """
 from __future__ import annotations
 
@@ -18,13 +17,11 @@ import numpy as np
 from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
-from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums, evaluate,
-                   orbit_coords, toral_eigen_data)
+from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
+                   branch_index, evaluate, orbit_coords, root_system,
+                   toral_eigen_data)
 from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
                      pinned_symbols)
-
-_BISECTION_STEPS = 60            # halvings of [0, eps] per Bowen-ball side
-_TREE_DEPTH = 6                  # of them decided per orbit pass
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ def bowen_ball_measure(sys: System, mu: Measure, x: Point, n: int,
             mass *= mu.p[x.word[i]]
         return mass
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:
-        return min(_bowen_extents(sys, x, (n,), eps)[0], 1.0)
+        return _bowen_masses(sys, mu, x, (n,), eps)[0]
     if mu.variant == "lebesgue-torus" and sys.matrix is not None:
         return _toral_bowen_measure(sys, n, eps)
     raise ValueError(
@@ -168,70 +165,56 @@ def bowen_ball_measure(sys: System, mu: Measure, x: Point, n: int,
 
 def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
                   eps: float) -> list[float]:
-    """`bowen_ball_measure` for each n of a window; the Lebesgue masses on
-    the circle come from one `_bowen_extents` call."""
+    """`bowen_ball_measure` for each n of a window.
+
+    A Lebesgue Bowen ball on the circle is an arc, measured from one orbit
+    of x.  Every circle map is f = g^r (r = 1 for a catalogue map) for a map
+    g with full affine branches of positive slope, so g(c + t) - g(c) on the
+    lift is increasing and piecewise linear in t.  Each side's extent starts
+    at eps at time n - 1 and is pulled back exactly through g's branches
+    along x's orbit, capped at eps after every step of f.  Above
+    eps = 1/(s + 1), s the largest slope of f, a ball can have several arcs
+    and eps is refused; from eps = 0.5 on, the ball is the circle up to a
+    null set.
+    """
     if mu.variant != "lebesgue-circle" or sys.space != CIRCLE:
         return [bowen_ball_measure(sys, mu, x, n, eps) for n in n_values]
-    long = [n for n in n_values if n > 1]
-    extents = iter(_bowen_extents(sys, x, long, eps) if long else ())
-    return [min(next(extents), 1.0) if n > 1
-            else bowen_ball_measure(sys, mu, x, n, eps) for n in n_values]
+    if eps >= 0.5:
+        return [1.0] * len(n_values)
+    root, r = root_system(sys)
+    table = root.branches
+    bound = 1.0 / (max(br.slope for br in table) ** r + 1.0)
+    if eps > bound:
+        raise ValueError(f"eps {eps} exceeds 1/(s + 1) = {bound:.6g} on "
+                         f"{sys.name!r}: its Bowen balls may have several "
+                         f"arcs")
+    orb = orbit_coords(root, np.asarray([x.coords]),
+                       r * (max(n_values) - 1) + 1)[0, :, 0].tolist()
+    at = [branch_index(root, c) for c in orb]
 
+    def pull(k, e, side):
+        # the t >= 0 with |g(c + side*t) - g(c)| = e, c = orb[k]; each
+        # branch maps onto the circle and e <= eps < 1/2, so t crosses at
+        # most one branch end
+        br = table[at[k]]
+        room = br.hi - orb[k] if side > 0 else orb[k] - br.lo
+        if e <= room * br.slope:
+            return e / br.slope
+        nxt = table[(at[k] + side) % len(table)]
+        return room + (e - room * br.slope) / nxt.slope
 
-def _bowen_extents(sys: System, x: Point, n_values,
-                   eps: float) -> list[float]:
-    """Arc length of the Bowen ball {y : d(f^j x, f^j y) < eps, j < n}
-    around a circle point x, for each n of `n_values`, not capped at 1.
-
-    Circle systems only.  Each side is bisected for the largest t with
-    d_n(x, x +- t) < eps, which assumes that distance grows monotonically in
-    t until it passes eps (true for expanding maps); a side whose distance at
-    t = eps is already below eps has extent eps.  The 2*len(n_values)
-    bisections run in lockstep: each round evaluates the next `_TREE_DEPTH`
-    levels of every bisection's midpoint tree in one orbit pass of length
-    max(n), then walks each tree along its own verdicts.  Midpoints and
-    verdicts are those of a sequential 60-step bisection, so the extents
-    equal its result bit for bit.
-    """
-    c = x.coords[0]
-    n_values = np.asarray(n_values)
-    n_max = int(n_values.max())
-    ref = orbit_coords(sys, np.asarray([x.coords]), n_max)[0, :, 0]
-    sign = np.repeat([-1.0, 1.0], len(n_values))[:, None]
-    last = np.tile(n_values, 2)[:, None, None] - 1
-    rows = np.arange(sign.shape[0])
-
-    def below(t):
-        # d_n(x, x + sign*t) < eps per entry of t (rows, w).  The second
-        # reduction is that of spaces.circle: a tiny negative sum gives 1.0.
-        y = (c + sign * t) % 1.0 % 1.0
-        orb = orbit_coords(sys, y.reshape(-1, 1), n_max).reshape(
-            *t.shape, n_max)
-        diff = np.abs(ref - orb) % 1.0
-        run = np.maximum.accumulate(np.minimum(diff, 1.0 - diff), axis=-1)
-        return np.take_along_axis(run, last, axis=-1)[..., 0] < eps
-
-    hi = np.full(len(rows), float(eps))
-    lo = np.zeros(len(rows))
-    at_eps = below(hi[:, None])[:, 0]
-    for _ in range(_BISECTION_STEPS // _TREE_DEPTH):
-        los, his, mids = lo[:, None], hi[:, None], []
-        for _ in range(_TREE_DEPTH):
-            mid = 0.5 * (los + his)
-            mids.append(mid)
-            # children 2i (verdict false: hi = mid) and 2i+1 (lo = mid)
-            los = np.stack([los, mid], axis=-1).reshape(len(rows), -1)
-            his = np.stack([mid, his], axis=-1).reshape(len(rows), -1)
-        t = np.concatenate(mids, axis=1)
-        ok = below(t)
-        node = np.zeros(len(rows), dtype=int)
-        for level in range(_TREE_DEPTH):
-            at = (rows, (1 << level) - 1 + node)
-            lo = np.where(ok[at], t[at], lo)
-            hi = np.where(ok[at], hi, t[at])
-            node = 2 * node + ok[at]
-    side = np.where(at_eps, float(eps), lo)
-    return (side[:len(n_values)] + side[len(n_values):]).tolist()
+    masses = []
+    for n in n_values:
+        total = 0.0
+        for side in (-1, 1):
+            e = eps
+            for k in range(r * (n - 1) - 1, -1, -1):
+                e = pull(k, e, side)
+                if k % r == 0:
+                    e = min(e, eps)
+            total += e
+        masses.append(total)
+    return masses
 
 
 def _toral_bowen_measure(sys: System, n: int, eps: float) -> float:

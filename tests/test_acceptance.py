@@ -112,6 +112,19 @@ def test_local_measure_decay_rates():
         assert rel_err(lo.value, LOG2) <= 0.05
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_brin_katok_on_tripling_iterates(r):
+    # the Bowen ball of f^r shrinks by 3^r a step, below the float spacing
+    # of x within a few steps
+    sys = get_system(f"iterate:tripling:{r}")
+    mu = get_measure("lebesgue-circle")
+    rng = np.random.default_rng(2024)
+    for v in [0.123456, 0.3141592, 0.7071067] + rng.random(10).tolist():
+        up, lo = brin_katok(sys, mu, circle(v))
+        assert abs(up.value - r * LOG3) <= 0.05, v
+        assert abs(lo.value - r * LOG3) <= 0.05, v
+
+
 def test_pressure_exponent_of_the_full_circle():
     sys = get_system("tripling")
     crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05)

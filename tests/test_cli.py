@@ -1,6 +1,7 @@
 """Command-line entry points: configs, reports, and exit codes."""
 import csv
 import json
+import math
 
 import pytest
 
@@ -189,3 +190,38 @@ n_max = 5
     with csv_path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert [row["warning"] for row in rows] == ["zero-measure ball", ""]
+
+
+def test_brin_katok_on_a_tripling_iterate_expects_power_log_3(tmp_path,
+                                                              capsys):
+    cfg = write_config(tmp_path / "bk.ini", """
+[experiment]
+kind = brin-katok
+system = iterate:tripling:3
+measure = lebesgue-circle
+point = circle:0.3141592
+""")
+    csv_path = tmp_path / "bk.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["expected"]) == pytest.approx(3 * math.log(3.0))
+    assert float(row["rel_error"]) <= 0.05
+
+
+def test_bowen_ball_with_several_arcs_exits_2(tmp_path, capsys):
+    # eps 0.2 exceeds 1/(s + 1) = 0.1 for the slope-9 map
+    cfg = write_config(tmp_path / "bk.ini", """
+[experiment]
+kind = brin-katok
+system = iterate:tripling:2
+measure = lebesgue-circle
+point = circle:0.3
+
+[schedule]
+epsilons = 0.2
+""")
+    assert run_cli(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "1/(s + 1)" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

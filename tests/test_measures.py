@@ -5,14 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import translocal
-from translocal import measures, separated
-from translocal.entropy import DEFAULT_SCHEDULE, Schedule
+from translocal import measures
+from translocal.entropy import DEFAULT_SCHEDULE
 from translocal.maps import (ZERO_POTENTIAL, birkhoff_sum, catalogue_ids,
                              get_potential, get_system, iterate_system)
 from translocal.measures import (ball_measure, bowen_ball_measure,
@@ -101,71 +102,114 @@ def test_bowen_ball_measure_tripling_exact():
     assert mass == pytest.approx(2 * eps * 3.0 ** -(n - 1), rel=1e-5)
 
 
-def _ref_one_sided_extent(sys, x, n, eps, sign):
-    """The sequential bisection: one Bowen-distance probe per halving."""
-    c = x.coords[0]
-    lo, hi = 0.0, eps
+# (lo, slope) of each full affine branch, in exact arithmetic, and the power
+# of each system.  The float orbits of g3branch and identity are exact, as
+# their slopes and branch ends are dyadic; on a uniform slope the ball does
+# not depend on the orbit.
+EXACT_BRANCHES = {"tripling": ((F(0), 3), (F(1, 3), 3), (F(2, 3), 3)),
+                  "g3branch": ((F(0), 2), (F(1, 2), 4), (F(3, 4), 4)),
+                  "identity": ((F(0), 1),)}
+EXACT_CASES = {"tripling": ("tripling", 1), "g3branch": ("g3branch", 1),
+               "identity": ("identity", 1),
+               "iterate:tripling:2": ("tripling", 2),
+               "iterate:g3branch:2": ("g3branch", 2)}
+EXACT_X = 0.123456789
 
-    def dist(t):
-        return separated.bowen_distance(sys, x, circle((c + sign * t) % 1.0),
-                                        n)
 
-    if dist(hi) < eps:
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dist(mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _exact_step(root, y):
+    lo, slope = [b for b in EXACT_BRANCHES[root] if b[0] <= y][-1]
+    return slope * (y - lo) % 1
+
+
+def _exact_orbit(sys_id, y, n):
+    """[f^j y for j < n] in exact arithmetic."""
+    root, power = EXACT_CASES[sys_id]
+    out = [y]
+    for _ in range((n - 1) * power):
+        out.append(_exact_step(root, out[-1]))
+    return out[::power]
 
 
 @functools.lru_cache(maxsize=None)
-def _ref_bowen_ball_measure(sys, mu, x, n, eps):
-    if n == 1:
-        return ball_measure(mu, Ball(x, eps, closed=False))
-    left = _ref_one_sided_extent(sys, x, n, eps, -1.0)
-    right = _ref_one_sided_extent(sys, x, n, eps, +1.0)
-    return min(left + right, 1.0)
+def _exact_bowen_mass(sys_id, n, eps):
+    """Arc length of the Bowen ball around EXACT_X, each side by an 80-step
+    sequential bisection for the largest t with d_n(x, x +- t) < eps, in
+    exact arithmetic."""
+    x, eps = F(EXACT_X), F(eps)
+    ref = _exact_orbit(sys_id, x, n)
+
+    def below(t):
+        for a, b in zip(ref, _exact_orbit(sys_id, (x + t) % 1, n)):
+            d = abs(a - b)
+            if min(d, 1 - d) >= eps:
+                return False
+        return True
+
+    total = F(0)
+    for sign in (-1, 1):
+        lo, hi = F(0), eps
+        if below(sign * eps):
+            lo = eps
+        else:
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if below(sign * mid) else (lo, mid)
+        total += lo
+    return float(total)
 
 
-def _ref_local_pressure(sys, mu, pot, x, sched=DEFAULT_SCHEDULE):
+def _exact_local_pressure(sys_id, pot, sched=DEFAULT_SCHEDULE):
     eps = sched.epsilons[-1]
+    sys, x = get_system(sys_id), circle(EXACT_X)
     series = [(n, birkhoff_sum(pot, sys, x, n)
-               - math.log(_ref_bowen_ball_measure(sys, mu, x, n, eps)))
+               - math.log(_exact_bowen_mass(sys_id, n, eps)))
               for n in sched.n_values]
-    ests = measures._rate_pair(series, eps)
-    return measures._pair(ests, x, pot.kind, None)
+    return measures._rate_pair(series, eps)
 
 
-@pytest.mark.parametrize("sys_id", ["tripling", "g3branch", "identity",
-                                    "iterate:tripling:2",
-                                    "iterate:g3branch:2"])
+@pytest.mark.parametrize("sys_id", list(EXACT_CASES))
 def test_bowen_ball_measure_equals_the_sequential_bisection(sys_id):
-    # eps = 0.6 exceeds every circle distance: the early return at t = eps
     sys, mu = get_system(sys_id), get_measure("lebesgue-circle")
-    x = circle(0.123456789)
-    for eps in (0.01, 0.05, 0.2, 0.6):
+    for eps in (0.01, 0.05):
         for n in range(1, 15):
-            assert bowen_ball_measure(sys, mu, x, n, eps) \
-                == _ref_bowen_ball_measure(sys, mu, x, n, eps), (eps, n)
+            assert bowen_ball_measure(sys, mu, circle(EXACT_X), n, eps) \
+                == pytest.approx(_exact_bowen_mass(sys_id, n, eps),
+                                 rel=1e-9, abs=0), (eps, n)
 
 
-@pytest.mark.parametrize("sys_id", ["tripling", "g3branch"])
+@pytest.mark.parametrize("sys_id", list(EXACT_CASES))
 def test_local_pressure_equals_the_sequential_bisection(sys_id):
     sys, mu = get_system(sys_id), get_measure("lebesgue-circle")
-    x = circle(0.71)
-    assert brin_katok(sys, mu, x) \
-        == _ref_local_pressure(sys, mu, ZERO_POTENTIAL, x)
-    pot = get_potential("geometric:1")
-    assert local_pressure(sys, mu, pot, x) \
-        == _ref_local_pressure(sys, mu, pot, x)
+    x = circle(EXACT_X)
+    for pot in (ZERO_POTENTIAL, get_potential("geometric:1")):
+        got = [est.value for est in local_pressure(sys, mu, pot, x)]
+        want = [est.value for est in _exact_local_pressure(sys_id, pot)]
+        assert got == pytest.approx(want, abs=1e-9, rel=0)
+    assert brin_katok(sys, mu, x) == local_pressure(sys, mu, ZERO_POTENTIAL,
+                                                    x)
 
 
-def test_brin_katok_steps_each_bisection_round_once():
-    # at the last eps only: x's orbit, the probes at t = eps, and ten rounds
-    # of six levels
+@pytest.mark.parametrize("sys_id,eps", [("tripling", 0.26),
+                                        ("g3branch", 0.21),
+                                        ("iterate:tripling:2", 0.2)])
+def test_bowen_ball_with_several_arcs_is_refused(sys_id, eps):
+    # above eps = 1/(s + 1) a Bowen ball can be a union of arcs
+    sys, mu = get_system(sys_id), get_measure("lebesgue-circle")
+    with pytest.raises(ValueError, match=r"1/\(s \+ 1\)"):
+        bowen_ball_measure(sys, mu, circle(0.6962), 3, eps)
+
+
+@pytest.mark.parametrize("sys_id", ["tripling", "g3branch",
+                                    "iterate:tripling:2"])
+def test_bowen_ball_from_half_the_circle_on_is_the_circle(sys_id):
+    sys, mu = get_system(sys_id), get_measure("lebesgue-circle")
+    for eps in (0.5, 0.6):
+        for n in range(2, 8):
+            assert bowen_ball_measure(sys, mu, circle(0.6962), n, eps) == 1.0
+
+
+def test_brin_katok_steps_the_orbit_of_x_only():
+    # the pullback steps x's orbit once; no other point is stepped
     base = get_system("tripling")
     calls = []
 
@@ -175,8 +219,7 @@ def test_brin_katok_steps_each_bisection_round_once():
 
     sys = dataclasses.replace(base, step_many=step_many)
     brin_katok(sys, get_measure("lebesgue-circle"), circle(0.3))
-    sched = DEFAULT_SCHEDULE
-    assert 0 < len(calls) <= 12 * (max(sched.n_values) - 1)
+    assert calls == [1] * (max(DEFAULT_SCHEDULE.n_values) - 1)
 
 
 def test_bowen_ball_measure_bernoulli_cylinder():

@@ -291,12 +291,21 @@ def test_coded_count_walks_on_as_if_from_scratch(fid, ns):
         == [_fresh_count(fid, n) for n in ns]
 
 
+# uniform-slope circle maps and their largest slope, written out
+UNIFORM_SLOPE = {"tripling": 3, "identity": 1, "iterate:tripling:2": 9,
+                 "iterate:tripling:3": 27, "iterate:iterate:tripling:2:3": 729}
+
+
+@pytest.mark.parametrize("sys_id", list(UNIFORM_SLOPE))
 @PROPERTY
 @given(x=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(1, 14),
-       eps=st.floats(0.001, 0.15))
-def test_tripling_bowen_ball_mass_is_the_pulled_back_arc(x, n, eps):
-    # the ball is the arc of half-width eps * 3^-(n-1) around x
-    mass = bowen_ball_measure(get_system("tripling"),
+       scale=st.floats(0.001, 1.0))
+def test_tripling_bowen_ball_mass_is_the_pulled_back_arc(sys_id, x, n, scale):
+    # below eps = 1/(s + 1) the ball is the arc of half-width eps * s^-(n-1)
+    s = UNIFORM_SLOPE[sys_id]
+    eps = scale / (s + 1)
+    mass = bowen_ball_measure(get_system(sys_id),
                               get_measure("lebesgue-circle"), circle(x), n,
                               eps)
-    assert mass == pytest.approx(2.0 * eps * 3.0 ** -(n - 1), rel=1e-7)
+    assert mass == pytest.approx(2.0 * eps * float(s) ** -(n - 1), rel=1e-9,
+                                 abs=0)
