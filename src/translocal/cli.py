@@ -177,6 +177,10 @@ def run_experiment(cfg):
             expected = math.log((1.0 + math.sqrt(5.0)) / 2.0)
             prov = "quadratic root of x + x^2 = 1"
             tol = 1e-9
+        elif lengths and not fam_id and len(set(lengths)) == 1:
+            expected = math.log(len(lengths)) / lengths[0]
+            prov = "n equal lengths L: log(n) / L"
+            tol = 1e-9
         rel = abs(sol.h - expected) if expected else ""
         if tol is not None and rel != "" and rel > tol:
             failures += 1

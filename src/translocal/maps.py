@@ -115,21 +115,25 @@ def log_derivative_sum(sys: System, x: Point, n: int) -> float:
 
 
 def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
-    """[log|Df^k(x)| for k = 1..n], one orbit pass."""
+    """[log|Df^k(x)| for k = 1..n]: one orbit, one log-slope call over it,
+    and the running sum in orbit order."""
     if sys.log_slope_many is None:
         raise ValueError(f"system {sys.name!r} has no derivative rule")
+    if x.space != sys.space:
+        raise SpaceMismatchError(f"point in {x.space!r}, system on {sys.space!r}")
+    pts = orbit_coords(sys, x.coords, n)[0]
+    near = np.abs(pts - np.asarray(sys.breakpoints, dtype=float)) < 1e-12
+    # row-major order: the first orbit point first
+    for _, i in zip(*np.nonzero(near)):
+        b = sys.breakpoints[i]
+        if not _differentiable_at(sys, b):
+            raise SingularOrbitError(
+                f"orbit of {x.coords} hits branch endpoint {b}")
     sums = []
     total = 0.0
-    cur = x
-    for _ in range(n):
-        c = cur.coords[0]
-        for b in sys.breakpoints:
-            if abs(c - b) < 1e-12 and not _differentiable_at(sys, b):
-                raise SingularOrbitError(
-                    f"orbit of {x.coords} hits branch endpoint {b}")
-        total += float(sys.log_slope_many(np.asarray([c]))[0])
+    for v in sys.log_slope_many(pts).tolist():
+        total += v
         sums.append(total)
-        cur = evaluate(sys, cur)
     return sums
 
 

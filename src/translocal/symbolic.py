@@ -113,74 +113,121 @@ class KraftSolution:
     tail_bound: float
 
 
-def _family_lengths(source, cap: int = 2000):
+# exp(-x) is 0.0 in float for x beyond about 745
+_EXP_FLOOR = 745.0
+_MAX_STEPS = 100
+
+
+def _kraft_source(source):
+    """A growing gap-rule family as it is, or the sorted code-word lengths
+    of an explicit word family or a list of lengths."""
     if isinstance(source, CodeWordFamily):
-        out = []
-        k = 1
-        while True:
-            out.append(source.length(k))
-            # keep enough terms that the truncated sum brackets the root
-            # even when individual lengths are astronomically long
-            if (out[-1] > cap and k >= 30) or k >= 2000:
-                break
-            k += 1
-        return out
-    return [int(v) for v in source]
-
-
-def kraft_entropy(source, tol: float = 1e-10,
-                  alphabet: int | None = None) -> KraftSolution:
-    """Unique positive root of sum_k exp(-h * L_k) = 1.
-
-    `source` is a list of lengths or a CodeWordFamily.  The sum is strictly
-    decreasing in h, so bisection converges; truncated tails are bounded by
-    a geometric series in the final length increment.
-    """
-    lengths = sorted(_family_lengths(source))
-    if not lengths or min(lengths) < 1:
+        if source.kind != "words":
+            if (source.kind == "linear" and source.a < 1
+                    or source.kind == "geometric" and source.c < 1):
+                # 2^m words of length m + 2 + 2g for every m
+                raise ValueError(f"{source.kind} gap rule must grow to give "
+                                 "a finite Kraft sum")
+            if source.length(1) < 1:
+                raise ValueError("lengths must be positive integers")
+            return source
+        source = [source.length(k) for k in range(1, source.word_count() + 1)]
+    lengths = tuple(sorted(int(v) for v in source))
+    if not lengths or lengths[0] < 1:
         raise ValueError("lengths must be positive integers")
-    k = alphabet if alphabet is not None else (
-        3 if isinstance(source, CodeWordFamily)
-        and source.kind != "words" else 2)
-    hi = math.log(max(k, 2))
-    increments = [b - a for a, b in zip(lengths, lengths[1:]) if b > a]
-    d = min(increments) if increments else 1
+    return lengths
 
-    def tail(h: float) -> float:
-        q = math.exp(-h * d) if h * d < 700 else 0.0
-        if q >= 1.0:
-            return math.inf
-        head = math.exp(-h * lengths[-1]) if h * lengths[-1] < 700 else 0.0
-        return head * q / (1.0 - q)
 
-    def f(h: float) -> float:
-        # lengths can exceed float range; those terms vanish
-        return math.fsum(math.exp(-h * L) if h * L < 700 else 0.0
-                         for L in lengths) - 1.0
+def _kraft_sum(source, h: float) -> tuple[float, float, int]:
+    """(S, S', K): the Kraft sum S = sum_k exp(-h L_k), its h-derivative
+    S' = -sum_k L_k exp(-h L_k), and the number K of code words summed.
 
-    lo = 1e-12
-    if f(hi) + tail(hi) >= 0.0:
-        # root at or beyond log(alphabet); widen until bracketed
-        hi *= 2
-        if f(hi) + tail(hi) >= 0.0:
-            raise NoPositiveRootError(
-                "Kraft sum stays above 1 on the search bracket")
-    if f(lo) <= 0.0:
+    Under a linear gap rule the 2^m words whose middle word has m symbols
+    (k = 2^m - 1, ..., 2^(m+1) - 2) have lengths first + 2a j, j < 2^m, so
+    each such block is a geometric series in q = exp(-2a h), summed in
+    closed form.  Other families and length lists sum their words one by
+    one.  A family stops at its first word with h L beyond the float floor
+    of exp: lengths grow, so every later term is 0.0 in float.
+    """
+    if isinstance(source, CodeWordFamily) and source.kind == "linear":
+        a, b = source.a, source.b
+        d = 2 * a * h
+        q, one_minus_q = math.exp(-d), -math.expm1(-d)
+        total = slope = 0.0
+        m = 1
+        while True:
+            n = 1 << m
+            first = 2 * (a * (n - 1) + b) + m + 2
+            if h * first > _EXP_FLOOR:
+                return total, slope, n - 2
+            lead = math.exp(-h * first)
+            g0 = -math.expm1(-d * n) / one_minus_q    # sum_j q^j
+            # sum_j j q^j
+            g1 = (g0 - n * math.exp(-d * (n - 1))) * q / one_minus_q
+            total += lead * g0
+            slope -= lead * (first * g0 + 2 * a * g1)
+            m += 1
+    if isinstance(source, CodeWordFamily):
+        lengths = []
+        while h * (length := source.length(len(lengths) + 1)) <= _EXP_FLOOR:
+            lengths.append(length)
+    else:
+        lengths = source
+    terms = [math.exp(-h * length) for length in lengths]
+    return (math.fsum(terms),
+            -math.fsum(length * t for length, t in zip(lengths, terms)),
+            len(lengths))
+
+
+def kraft_entropy(source) -> KraftSolution:
+    """Unique positive root h of S(h) = sum_k exp(-h L_k) = 1.
+
+    `source` is a list of code-word lengths or a CodeWordFamily.  S and S'
+    come from `_kraft_sum`: closed geometric blocks for a linear gap rule,
+    the few terms above the float floor for the others.  The root solves
+    log S = 0 by Newton's method.  log S is convex and decreasing in h, and
+    nearly linear away from the root, so a step from the right of the root
+    lands left of it, and from the left the iterates rise monotonically to
+    it.  The search starts at h = 1 / min L with no upper limit.  A step
+    outside the bracket found so far bisects it instead, or doubles h while
+    no point right of the root is known.  It stops when a step moves h by
+    at most 8 ulp.
+
+    `residual` is S(h) - 1 and `truncation_index` the number of words
+    summed.  `tail_bound` bounds the rest of the sum: 0.0 for a finite
+    list, where nothing is left out.
+    """
+    source = _kraft_source(source)
+    finite = isinstance(source, tuple)
+    if finite and len(source) < 2:
         raise NoPositiveRootError(
             "Kraft sum never exceeds 1; need at least two lengths")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val) <= tol * 0.1 and hi - lo <= tol:
-            break
-        if val > 0.0:
-            lo = mid
+    first = source[0] if finite else source.length(1)
+    lo, hi = 0.0, math.inf
+    h = 1.0 / first
+    for _ in range(_MAX_STEPS):
+        s, ds, count = _kraft_sum(source, h)
+        if s > 1.0:
+            lo = h
+        elif s < 1.0:
+            hi = h
         else:
-            hi = mid
-        if hi - lo <= 1e-18 * max(hi, 1.0):
             break
-    h = 0.5 * (lo + hi)
-    return KraftSolution(h, f(h), len(lengths), tail(h))
+        # Newton on log S; S = 0.0 (every term below the float floor) has none
+        step = h - math.log(s) * s / ds if s else lo
+        if abs(step - h) <= 8.0 * math.ulp(h):
+            break
+        if not lo < step < hi:
+            step = 2.0 * h if hi == math.inf else 0.5 * (lo + hi)
+        h = step
+    else:
+        raise NoPositiveRootError(
+            f"Kraft root not resolved in {_MAX_STEPS} steps")
+    tail = 0.0
+    if not finite:
+        # later lengths start past the float floor and grow by >= 2
+        tail = math.exp(-h * source.length(count + 1)) / -math.expm1(-2 * h)
+    return KraftSolution(h, s - 1.0, count, tail)
 
 
 # ---------------------------------------------------------------------------

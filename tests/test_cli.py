@@ -114,6 +114,31 @@ lengths = 1,2
     assert "0.4812" in out
 
 
+def test_kraft_family_of_explicit_words(tmp_path, capsys):
+    # the words 0 and 01 have lengths 1 and 2: the root is log(golden ratio)
+    cfg = write_config(tmp_path / "kraft-words.ini", """
+[experiment]
+kind = kraft
+family = codedshift:words:0,01
+""")
+    assert run_cli(["run", cfg]) == 0
+    assert "0.4812118250596" in capsys.readouterr().out
+
+
+def test_kraft_root_beyond_log_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "kraft-four.ini", """
+[experiment]
+kind = kraft
+lengths = 1,1,1,1
+""")
+    assert run_cli(["run", cfg]) == 0
+    out = capsys.readouterr().out
+    # log 4 = 1.38629436111989..., checked against n equal lengths' log(n)/L
+    assert "1.3862943611" in out
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["passed"] is True and summary["max_rel_error"] is not None
+
+
 def test_lyapunov_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "lyap.ini", """
 [experiment]

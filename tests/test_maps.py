@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from translocal import maps
+from translocal.errors import SingularOrbitError
 from translocal.maps import (Potential, canonical_growth, evaluate,
                              get_potential, get_system, iterate_system,
                              log_derivative_sum, monotone_branches, orbit,
@@ -100,6 +101,67 @@ def test_iterate_ids_of_parameterised_systems():
 def test_log_derivative_sum_uniform_expansion():
     sys = get_system("tripling")
     assert log_derivative_sum(sys, circle(0.1234), 6) == pytest.approx(6 * LOG3)
+
+
+ORBIT_SYSTEMS = ["tripling", "g3branch", "pomeau-manneville", "sqrtmap",
+                 "staircase"]
+
+
+@pytest.mark.parametrize("sys_id", ORBIT_SYSTEMS)
+def test_whole_orbit_log_slopes_are_the_per_point_ones(sys_id):
+    # log_derivative_sums makes one log-slope call over the whole orbit;
+    # it must give the bits of one call per orbit point
+    sys = get_system(sys_id)
+    rng = np.random.default_rng(29)
+    for x0 in rng.random(20):
+        pts = maps.orbit_coords(sys, [x0], 200)[0]
+        whole = np.asarray(sys.log_slope_many(pts), dtype=float)
+        single = np.asarray([sys.log_slope_many(np.asarray([c]))[0]
+                             for c in pts[:, 0]], dtype=float)
+        assert whole.tobytes() == single.tobytes()
+
+
+def _per_step_log_derivative_sums(sys, x, n):
+    """One `evaluate` and one log-slope call per orbit point, raising at
+    the first singular branch endpoint."""
+    sums, total, cur = [], 0.0, x
+    for _ in range(n):
+        c = cur.coords[0]
+        for b in sys.breakpoints:
+            if abs(c - b) < 1e-12 and not maps._differentiable_at(sys, b):
+                raise SingularOrbitError(
+                    f"orbit of {x.coords} hits branch endpoint {b}")
+        total += float(sys.log_slope_many(np.asarray([c]))[0])
+        sums.append(total)
+        cur = evaluate(sys, cur)
+    return sums
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularOrbitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("sys_id", ORBIT_SYSTEMS + ["iterate:tripling:2",
+                                                    "identity"])
+def test_log_derivative_sums_match_the_per_step_walk(sys_id):
+    sys = get_system(sys_id)
+    make = circle if sys.space == "circle" else interval
+    rng = np.random.default_rng(31)
+    for x0 in list(rng.random(6)) + [0.0, 0.5, 0.455118552]:
+        x = make(float(x0))
+        assert _outcome(maps.log_derivative_sums, sys, x, 120) \
+            == _outcome(_per_step_log_derivative_sums, sys, x, 120)
+
+
+def test_dyadic_g3branch_orbit_is_singular():
+    # the float orbit of this point reaches the kink at 1/2 (then dies at 0)
+    with pytest.raises(SingularOrbitError,
+                       match="hits branch endpoint 0.5"):
+        maps.log_derivative_sums(get_system("g3branch"),
+                                 circle(0.455118552), 200)
 
 
 def test_orbit_length_and_start():

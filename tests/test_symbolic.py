@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from translocal import symbolic
 from translocal.errors import BudgetExceededError, NoPositiveRootError
 from translocal.separated import symbolic_word_count
 from translocal.symbolic import (binary_word, coded_language_count,
@@ -23,6 +24,7 @@ def test_kraft_golden_ratio():
     sol = kraft_entropy([1, 2])
     assert abs(sol.h - math.log(GOLDEN)) < 1e-9
     assert abs(sol.residual) < 1e-9
+    assert sol.h == pytest.approx(math.log(GOLDEN), rel=1e-12)
 
 
 def test_kraft_two_unit_lengths():
@@ -34,15 +36,118 @@ def test_kraft_monotone_under_extra_words():
     rng = np.random.default_rng(23)
     for _ in range(8):
         lengths = sorted(int(v) for v in rng.integers(2, 12, size=5))
-        base = kraft_entropy(lengths, alphabet=4).h
-        more = kraft_entropy(lengths + [int(rng.integers(2, 12))],
-                             alphabet=4).h
+        base = kraft_entropy(lengths).h
+        more = kraft_entropy(lengths + [int(rng.integers(2, 12))]).h
         assert more > base
 
 
 def test_kraft_needs_positive_root():
     with pytest.raises(NoPositiveRootError):
         kraft_entropy([50])
+
+
+@pytest.mark.parametrize("count", [4, 9])
+def test_kraft_equal_unit_lengths(count):
+    # the root log(count) lies beyond any bracket tied to a small alphabet
+    sol = kraft_entropy([1] * count)
+    assert sol.h == pytest.approx(math.log(count), rel=1e-14)
+    assert sol.tail_bound == 0.0
+
+
+def test_kraft_explicit_words_are_a_finite_list():
+    sol = kraft_entropy(get_family("codedshift:words:0,01"))
+    assert sol.h == pytest.approx(math.log(GOLDEN), rel=1e-14)
+    assert sol.truncation_index == 2
+    assert sol.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("fid", ["codedshift:linear:0,3",
+                                 "codedshift:geometric:0"])
+def test_kraft_refuses_gap_rules_that_do_not_grow(fid):
+    with pytest.raises(ValueError):
+        kraft_entropy(get_family(fid))
+
+
+@pytest.mark.parametrize("a,b", [(1, 0), (3, 2), (2, 1)])
+@pytest.mark.parametrize("h", [0.05, 0.2, 0.5, 1.5])
+def test_kraft_block_sum_is_the_explicit_sum(a, b, h):
+    fam = get_family(f"codedshift:linear:{a},{b}")
+    total, slope, count = symbolic._kraft_sum(fam, h)
+    lengths = [fam.length(k) for k in range(1, count + 1)]
+    assert total == pytest.approx(
+        math.fsum(math.exp(-h * L) for L in lengths), rel=1e-13)
+    assert slope == pytest.approx(
+        -math.fsum(L * math.exp(-h * L) for L in lengths), rel=1e-13)
+    # the words left out are below the float floor of exp
+    assert math.exp(-h * fam.length(count + 1)) == 0.0
+
+
+def _fsum_bisection(lengths, tol=1e-10):
+    """Bisection over a math.fsum of explicit lengths to an absolute
+    tolerance: a reference independent of the closed blocks and of the
+    Newton step.  Its bracket widens until the sum drops below 1."""
+    def f(h):
+        return math.fsum(math.exp(-h * L) if h * L < 700 else 0.0
+                         for L in lengths) - 1.0
+
+    lo, hi = 1e-12, math.log(3.0)
+    while f(hi) >= 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        val = f(mid)
+        if abs(val) <= tol * 0.1 and hi - lo <= tol:
+            break
+        if val > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-18 * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _explicit_lengths(fam, cap=2000):
+    """The family's first lengths: at least 30 words, then words up to the
+    first one longer than `cap`, at most 2000 words."""
+    out = []
+    k = 1
+    while True:
+        out.append(fam.length(k))
+        if (out[-1] > cap and k >= 30) or k >= 2000:
+            return out
+        k += 1
+
+
+@pytest.mark.parametrize("fid", [
+    "codedshift:linear:1,0", "codedshift:linear:3,2",
+    "codedshift:linear:2,1", "codedshift:geometric:1",
+    "codedshift:geometric:2", "codedshift:factorial"])
+def test_kraft_root_matches_fsum_bisection(fid):
+    fam = get_family(fid)
+    expected = _fsum_bisection(_explicit_lengths(fam))
+    assert kraft_entropy(fam).h == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("source", [
+    "codedshift:linear:1,0", "codedshift:linear:3,2",
+    "codedshift:geometric:1", "codedshift:geometric:2",
+    "codedshift:factorial", "codedshift:words:0,01",
+    (1, 2), (2, 3, 5), (1,) * 9, (3, 50, 50, 50)])
+def test_kraft_root_takes_few_sum_evaluations(source, monkeypatch):
+    calls = []
+    block_sum = symbolic._kraft_sum
+
+    def counted(src, h):
+        calls.append(h)
+        return block_sum(src, h)
+
+    monkeypatch.setattr(symbolic, "_kraft_sum", counted)
+    if isinstance(source, str):
+        source = get_family(source)
+    kraft_entropy(source)
+    # bisecting to float precision takes about 60
+    assert 1 <= len(calls) <= 40
 
 
 def test_coded_count_free_binary_words():
