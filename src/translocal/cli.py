@@ -137,19 +137,26 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
             np.asarray([point.coords[0]]))[0])
         return (math.log(2.0 * level + 1.0),
                 "per-level slope count closed form", 0.10)
-    if kind == "pressure" and sys_obj.name == "tripling":
+    slopes = maps.full_branch_slopes(sys_obj)
+    if kind == "pressure" and slopes is not None:
         if pot_id in ("zero",):
-            return math.log(3.0), "uniform cover count closed form", 0.10
+            return (math.log(len(slopes)), "full-branch lap count log k",
+                    0.10)
         if pot_id.startswith("geometric:"):
             t = float(pot_id.split(":")[1])
-            return ((1.0 - t) * math.log(3.0),
-                    "weighted cylinder sum closed form", None)
+            return (math.log(math.fsum(s ** -t for s in slopes)),
+                    "Bowen's formula log sum_i s_i^-t", 0.10)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
+
+def _rel_error(value: float, expected: float) -> float:
+    """|value - expected| relative to |expected|, or to 0.05 near 0."""
+    return abs(value - expected) / max(abs(expected), 0.05)
+
 
 def _row(**kw):
     row = {c: "" for c in CSV_COLUMNS}
@@ -181,7 +188,7 @@ def run_experiment(cfg):
             expected = math.log(len(lengths)) / lengths[0]
             prov = "n equal lengths L: log(n) / L"
             tol = 1e-9
-        rel = abs(sol.h - expected) if expected else ""
+        rel = "" if expected is None else _rel_error(sol.h, expected)
         if tol is not None and rel != "" and rel > tol:
             failures += 1
         rows.append(_row(experiment=kind, system=fam_id or str(lengths),
@@ -216,8 +223,7 @@ def run_experiment(cfg):
         rel = ""
         if exp_triplet is not None:
             expected, prov, tol = exp_triplet
-            denom = max(abs(expected), 0.05)
-            rel = abs(value - expected) / denom
+            rel = _rel_error(value, expected)
             if tol is not None and rel > tol:
                 failures += 1
         rows.append(_row(experiment=kind, system=sys_obj.name,

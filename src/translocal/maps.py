@@ -484,6 +484,16 @@ def branch_index(sys: System, c: float) -> int:
     return bisect_right(sys.branches, c, key=_BRANCH_LO) - 1
 
 
+def full_branch_slopes(sys: System) -> tuple | None:
+    """|slope| of each branch when `sys` is a root circle map whose every
+    branch is affine onto the unit domain, else None."""
+    if sys.space != CIRCLE or sys.base is not None or not sys.branches:
+        return None
+    if any(br.slope is None or br.canonical != _UNIT for br in sys.branches):
+        return None
+    return tuple(abs(br.slope) for br in sys.branches)
+
+
 def canonical_growth(sys: System, canonical: tuple, k: int) -> float:
     """Image variation of f^k over a canonical domain of `sys`'s table."""
     if k < 0:

@@ -138,6 +138,27 @@ def test_pressure_exponent_of_the_full_circle():
     assert abs(crit.value) <= 0.05
 
 
+# (system, branch slopes) of the full-branch affine circle maps
+AFFINE_SLOPES = [("tripling", (3.0, 3.0, 3.0)), ("g3branch", (2.0, 4.0, 4.0))]
+
+
+@pytest.mark.parametrize("sys_id, slopes", AFFINE_SLOPES)
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_pressure_exponent_is_bowens_formula(sys_id, slopes, t):
+    # Bowen balls: P(-t log|f'|) = log sum_i s_i^-t; metric balls of
+    # radius exp(-omega n): omega + log sum_i s_i^(-1-t)
+    sys, pot = get_system(sys_id), get_potential(f"geometric:{t}")
+    grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    crit = critical_exponent(sys, whole_circle(), pot, r=0.05, s_grid=grid)
+    want = math.log(math.fsum(s ** -t for s in slopes))
+    assert crit.value == pytest.approx(want, rel=1e-9, abs=1e-15)
+    omega = 0.6
+    crit = critical_exponent(sys, whole_circle(), pot, omega=omega,
+                             s_grid=grid, variant="translocal-upper")
+    want = omega + math.log(math.fsum(s ** (-1.0 - t) for s in slopes))
+    assert crit.value == pytest.approx(want, rel=1e-9)
+
+
 def test_translocal_pressure_exponent_tracks_omega():
     sys = get_system("tripling")
     crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, omega=0.7,

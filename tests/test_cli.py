@@ -139,6 +139,48 @@ lengths = 1,1,1,1
     assert summary["passed"] is True and summary["max_rel_error"] is not None
 
 
+def test_kraft_rel_error_is_relative(tmp_path, capsys):
+    cfg = write_config(tmp_path / "kraft.ini", """
+[experiment]
+kind = kraft
+lengths = 1,2
+""")
+    csv_path = tmp_path / "kraft.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    golden = math.log((1.0 + math.sqrt(5.0)) / 2.0)
+    assert float(row["expected"]) == golden
+    assert float(row["rel_error"]) == \
+        abs(float(row["value"]) - golden) / golden
+
+
+@pytest.mark.parametrize("system, potential, slopes, t", [
+    ("tripling", "zero", (3, 3, 3), 0.0),
+    ("g3branch", "zero", (2, 4, 4), 0.0),
+    ("g3branch", "geometric:0.5", (2, 4, 4), 0.5),
+    ("g3branch", "geometric:1", (2, 4, 4), 1.0),
+])
+def test_pressure_oracle_reads_the_branch_slopes(tmp_path, capsys, system,
+                                                 potential, slopes, t):
+    # any full-branch affine circle map is checked against Bowen's formula
+    # log sum_i s_i^-t, whatever its name
+    cfg = write_config(tmp_path / "pressure.ini", f"""
+[experiment]
+kind = pressure
+system = {system}
+potential = {potential}
+""")
+    csv_path = tmp_path / "pressure.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    want = math.log(sum(s ** -t for s in slopes))
+    assert float(row["expected"]) == pytest.approx(want, rel=1e-15,
+                                                   abs=1e-15)
+    assert float(row["rel_error"]) <= 1e-9
+
+
 def test_lyapunov_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "lyap.ini", """
 [experiment]

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from translocal.measures import get_measure
 from translocal.pressure import (Region, cover_weight, critical_exponent,
                                  ma_wen_audit, translocal_cover_weight,
                                  whole_circle)
-from translocal.spaces import CIRCLE, Ball, circle
+from translocal.spaces import CIRCLE, Ball, circle, interval
 
 LOG3 = math.log(3.0)
 CLI_S_GRID = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
@@ -63,16 +64,28 @@ def test_critical_exponent_brackets_topological_entropy():
 
 
 def test_critical_exponent_pinned_values():
-    # exact values on the `translocal run` pressure grid; a change to the
-    # cover search that moves them moves every reported pressure
+    # values on the `translocal run` pressure grid: the whole-circle levels
+    # are Bowen's formula, so the secant of the grid bracket is the root,
+    # log 3 (Bowen balls) and omega (metric balls), to a few ulp
     sys = get_system("tripling")
     crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05,
                              s_grid=CLI_S_GRID)
-    assert crit.value == 1.1015625
-    assert crit.bracket == (1.09375, 1.109375)
+    assert crit.value == pytest.approx(LOG3, rel=4e-16)
+    assert crit.bracket == (crit.value, crit.value)
     crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, omega=0.6,
                              s_grid=CLI_S_GRID, variant="translocal-upper")
-    assert crit.value == 0.6015625
+    assert crit.value == pytest.approx(0.6, rel=4e-16)
+    assert crit.bracket == (crit.value, crit.value)
+
+
+def test_critical_exponent_bisects_quadrature_tables():
+    # sub-arcs are priced by quadrature; on g3branch its trend is not
+    # affine in s, so the secant point misses and the bracket is bisected
+    # down to `tol` as before the closed form
+    crit = critical_exponent(get_system("g3branch"), TWO_BALLS,
+                             ZERO_POTENTIAL, r=0.05, s_grid=CLI_S_GRID)
+    assert crit.value == 1.1015625
+    assert crit.bracket == (1.09375, 1.109375)
 
 
 # value pins of the uniform-n cover weight; the ids name the family, the
@@ -80,8 +93,8 @@ def test_critical_exponent_pinned_values():
 @pytest.mark.parametrize("sys_id, s, r, N, value", [
     pytest.param("tripling", -0.5, 0.1, 4, 997.522573355638,
                  id="tripling--0.5-0.1-4-uniform-n-997.522573355638"),
-    pytest.param("tripling", 1.1, 0.02, 4, 8.24133088084519,
-                 id="tripling-1.1-0.02-4-uniform-n-8.24133088084519"),
+    pytest.param("tripling", 1.1, 0.02, 4, 8.241330880845176,
+                 id="tripling-1.1-0.02-4-uniform-n-8.241330880845176"),
 ])
 def test_each_cover_family_decides_some_weight(sys_id, s, r, N, value):
     w = cover_weight(get_system(sys_id), whole_circle(), ZERO_POTENTIAL,
@@ -159,16 +172,72 @@ def _ref_segment_weight(sys, pot, a, b, n, s, ext):
     return float(np.sum(counts * np.exp(-s * n + phi)))
 
 
-def _ref_cover_weight(sys, region, pot, s, N, ext):
-    """(value, n_values) of the cheapest uniform-n cover."""
-    segments = [pressure._interval_of(b, region.space) for b in region.balls]
+def _ref_cheapest_cover(level_weight, N):
+    """(value, n_values) of the cheapest uniform-n cover, whose weight at
+    level n is level_weight(n)."""
     best = None
     for n in range(N, N + 5):
-        weight = sum(_ref_segment_weight(sys, pot, a, b, n, s, ext)
-                     for a, b in segments)
+        weight = level_weight(n)
         if best is None or weight < best[0] * (1.0 - pressure._TIE):
             best = (weight, (n,))
     return best
+
+
+# -- reference: exact lap enumeration of a full-branch affine circle map ----
+
+# each branch as (lo, slope): x -> slope * (x - lo), onto [0, 1]
+EXACT_BRANCHES = {
+    "tripling": ((Fraction(0), 3), (Fraction(1, 3), 3), (Fraction(2, 3), 3)),
+    "g3branch": ((Fraction(0), 2), (Fraction(1, 2), 4), (Fraction(3, 4), 4)),
+}
+
+
+def _branch_weight(pot, slope):
+    """exp of the potential on a branch: 1, or 1/slope for geometric:1."""
+    if pot.kind == "zero":
+        return Fraction(1)
+    assert pot.kind == "geometric" and pot.t == 1.0
+    return Fraction(1, slope)
+
+
+def _exact_point_weight(sys_id, pot, x, n):
+    """exp(phi_n(x)) along the exact orbit of x."""
+    table = EXACT_BRANCHES[sys_id]
+    weight = Fraction(1)
+    for _ in range(n):
+        lo, slope = max(br for br in table if br[0] <= x)
+        weight *= _branch_weight(pot, slope)
+        x = slope * (x - lo)
+    return weight
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_circle_mass(sys_id, pot, n, extent):
+    """exp(log-mass) of the whole circle at level n, summed over the laps of
+    f^n: a lap of length L whose first n - 1 slopes multiply to D needs
+    L / min(2r / D, 1) Bowen balls (L / min(2 exp(-omega n), 1) metric
+    balls) and carries the product of its n branch weights.  A circle that
+    needs at most one ball gets one, at the middle quadrature cell."""
+    laps = [(Fraction(1), Fraction(1), Fraction(1))]    # (length, D, weight)
+    for j in range(n):
+        laps = [(length / slope,
+                 d * slope if j < n - 1 else d,
+                 weight * _branch_weight(pot, slope))
+                for length, d, weight in laps
+                for _, slope in EXACT_BRANCHES[sys_id]]
+    if isinstance(extent, pressure._BowenExtent):
+        ext = [min(2 * Fraction(extent.r) / d, 1) for _, d, _ in laps]
+    else:
+        ext = [min(Fraction(2.0 * math.exp(-extent.omega * n)), 1)] * len(laps)
+    counts = [length / e for (length, _, _), e in zip(laps, ext)]
+    if sum(counts) <= 1:
+        middle = Fraction(2 * (4096 // 2) + 1, 2 * 4096)
+        return _exact_point_weight(sys_id, pot, middle, n)
+    return sum(c * weight for c, (_, _, weight) in zip(counts, laps))
+
+
+def _exact_circle_weight(sys_id, pot, n, s, extent):
+    return float(_exact_circle_mass(sys_id, pot, n, extent)) * math.exp(-s * n)
 
 
 TWO_BALLS = Region(balls=(Ball(circle(0.2), 0.05), Ball(circle(0.7), 0.1)))
@@ -179,6 +248,8 @@ TWO_BALLS = Region(balls=(Ball(circle(0.2), 0.05), Ball(circle(0.7), 0.1)))
 @pytest.mark.parametrize("region", [whole_circle(), TWO_BALLS],
                          ids=["whole", "two-balls"])
 def test_level_table_matches_per_level_quadrature(sys_id, pot_id, region):
+    # the whole circle is checked against exact lap enumeration, the
+    # sub-arcs against one literal quadrature per level
     sys, pot = get_system(sys_id), get_potential(pot_id)
     for s in (-0.5, 1.1):
         for r, omega in ((0.02, None), (None, 0.6)):
@@ -188,7 +259,16 @@ def test_level_table_matches_per_level_quadrature(sys_id, pot_id, region):
             else:
                 got = cover_weight(sys, region, pot, s, r, 3)
                 ext = pressure._bowen_extent(r)
-            value, n_values = _ref_cover_weight(sys, region, pot, s, 3, ext)
+            if region == TWO_BALLS:
+                segments = [pressure._interval_of(b, region.space)
+                            for b in region.balls]
+                value, n_values = _ref_cheapest_cover(
+                    lambda n: sum(_ref_segment_weight(sys, pot, a, b, n, s,
+                                                      ext)
+                                  for a, b in segments), 3)
+            else:
+                value, n_values = _ref_cheapest_cover(
+                    lambda n: _exact_circle_weight(sys_id, pot, n, s, ext), 3)
             assert got.value == pytest.approx(value, rel=1e-12)
             assert got.n_values == n_values
 
@@ -221,9 +301,16 @@ def _levels_of(case, ext_id):
 @given(ext_id=st.sampled_from(sorted(EXTENTS)), n=st.integers(1, 8),
        s=st.floats(-2.0, 3.0))
 def test_level_weight_is_the_literal_quadrature(case, ext_id, n, s):
+    # the whole circle under tripling and g3branch is checked against exact
+    # lap enumeration (its 4096-node grid aliases on g3branch's slopes 2
+    # and 4), every other case against the literal quadrature
     sys_id, pot_id, (a, b) = case
-    want = _ref_segment_weight(get_system(sys_id), get_potential(pot_id),
-                               a, b, n, s, EXTENTS[ext_id])
+    if sys_id in EXACT_BRANCHES and (a, b) == (0.0, 1.0):
+        want = _exact_circle_weight(sys_id, get_potential(pot_id), n, s,
+                                    EXTENTS[ext_id])
+    else:
+        want = _ref_segment_weight(get_system(sys_id), get_potential(pot_id),
+                                   a, b, n, s, EXTENTS[ext_id])
     # sqrtmap orbits reach its infinite-derivative point 0 from level 7:
     # the Bowen cover needs infinitely many balls there, and the literal
     # sum reads inf, or NaN (inf * 0) under a geometric potential
@@ -245,6 +332,27 @@ def test_level_weights_need_no_numpy(monkeypatch):
     assert pressure._best_level(table, 3, 1.1) == want
 
 
+def test_undefined_levels_lose_to_defined_ones():
+    # a NaN level (inf * 0 at a point of infinite derivative) first in the
+    # window must not become the cover's weight
+    undefined = pressure._Level(3, math.nan, 0.0)
+    levels = {n: pressure._Level(n, 0.0) for n in (4, 5, 6, 7)}
+    levels[3] = undefined
+    assert pressure._best_level([levels], 3, 0.0) == (1.0, 4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cover_weight_undefined_at_every_level_names_the_point():
+    # sqrtmap's grid orbits reach its infinite-derivative fixed point 0 by
+    # level 7: there the Bowen count is inf and exp(-log|f'|) is 0
+    region = Region(balls=(Ball(interval(0.5), 0.5),))
+    pot = get_potential("geometric:1.0")
+    with pytest.raises(ValueError, match=r"every level 7\.\.11.* x = 0\.0,"):
+        cover_weight(get_system("sqrtmap"), region, pot, 1.0, 0.02, 7)
+    assert math.isfinite(cover_weight(get_system("sqrtmap"), region, pot,
+                                      1.0, 0.02, 3).value)
+
+
 def test_level_centres_stay_on_the_grid():
     # the running sum of these counts ends at 2.4999999999999996, their
     # pairwise total is 2.5000000000000004: the weight is the total
@@ -258,7 +366,8 @@ def test_level_centres_stay_on_the_grid():
 
 
 def test_critical_exponent_steps_each_segment_once():
-    # one orbit pass per ball, max(n_window) + 4 steps long at most
+    # one orbit pass per sub-arc ball, max(n_window) + 4 steps long at
+    # most; the whole circle's levels are closed forms and step no orbit
     base = get_system("tripling")
     calls = []
 
@@ -268,11 +377,13 @@ def test_critical_exponent_steps_each_segment_once():
 
     sys = dataclasses.replace(base, step_many=step_many)
     n_window = (3, 4, 5, 6, 7, 8)
-    for region, balls in ((whole_circle(), 1), (TWO_BALLS, 2)):
-        calls.clear()
-        critical_exponent(sys, region, ZERO_POTENTIAL, r=0.05,
-                          n_window=n_window)
-        assert 0 < len(calls) <= balls * (max(n_window) + 4)
+    critical_exponent(sys, TWO_BALLS, ZERO_POTENTIAL, r=0.05,
+                      n_window=n_window)
+    assert 0 < len(calls) <= 2 * (max(n_window) + 4)
+    calls.clear()
+    critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05,
+                      n_window=n_window)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sys_id", ["tripling", "g3branch"])
