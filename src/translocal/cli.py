@@ -95,11 +95,12 @@ def load_config(path: str):
 # ---------------------------------------------------------------------------
 
 def expected_translocal(sys_obj, point, omega):
-    log3 = math.log(3.0)
     name = sys_obj.name
-    if name == "tripling":
-        return (max(0.0, (1.0 - omega / log3)) * log3,
-                "closed form max(0, (1-omega/log3))*log3", 0.10)
+    root, power = maps.root_system(sys_obj)
+    if root.uniform_slope is not None:
+        # |(f^n)'| = s^(p n) everywhere on an iterate of a one-slope map
+        return (max(0.0, power * math.log(root.uniform_slope) - omega),
+                "closed form (p*log s - omega)+ of a one-slope map", 0.10)
     if name == "pomeau-manneville" and abs(point.coords[0]) < 1e-12:
         return 0.0, "closed form 0 at the neutral fixed point", None
     if name == "sqrtmap" and abs(point.coords[0]) < 1e-12:
@@ -126,8 +127,9 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
         if sys_obj.name.startswith("fullshift:2") \
                 and mu == "bernoulli:0.5,0.5":
             return math.log(2.0), "fair-coin cylinder mass decay", 0.05
-    if kind == "translocal-pressure" and sys_obj.name == "tripling" \
+    if kind == "translocal-pressure" and sys_obj.lebesgue_circle_invariant \
             and extra.get("measure") == "lebesgue-circle":
+        # a metric ball's Lebesgue mass does not depend on the map
         shift = float(pot_id.split(":")[1]) if pot_id.startswith("constant") \
             else 0.0
         if pot_id in ("zero",) or pot_id.startswith("constant"):

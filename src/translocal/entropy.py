@@ -8,15 +8,23 @@ least-squares slopes of log separated counts over windows in the tail of the
 n-schedule (upper = max window slope, lower = min), with the eps-ladder
 handled by reporting the smallest-eps value together with the first-difference
 trend.  One walk over the tail windows fits each window once and keeps both
-extremes, and only the reported eps (the last one and the one before it) are
-counted and fitted.  The estimators walk the n-schedule on the outside: each
-(ball, n) cell is built once and counted for every reported eps, since a 1D
-or toral cell's image variation does not depend on eps.
+extremes; the windows' n-deviations and spreads are built once per n-tuple,
+and only the two kept windows get a residual.  Only the reported eps (the
+last one and the one before it) are counted and fitted.  Each estimator is
+one pass over its schedule: a fixed 1D ball is pushed forward by one branch
+walk to the largest n, a shrinking 1D cell is priced from its centre and
+radius directly, a toral curve takes one eigendecomposition, and every cell
+is counted for every reported eps at once, since a cell's image variation
+does not depend on eps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,29 +91,39 @@ def growth_rates(log_counts, clamp: bool = False, eps: float | None = None
     windows: each window is fitted once, and the first window with the
     largest (smallest) slope gives the upper (lower) estimate."""
     pts = sorted((int(n), float(v)) for n, v in log_counts)
-    if len(pts) < 3:
-        raise ValueError("growth_rate needs at least 3 data points")
-    _require_distinct([n for n, _ in pts])
-    tail = pts[-max(3, (len(pts) + 1) // 2):]
+    ys = [v for _, v in pts]
+    # n-tuples are built from lists: CPython resizes a tuple grown from an
+    # iterator and keeps it on its free list when freed, so a pass of short
+    # calls would pile them up and raise peak RSS
+    upper, lower = _extreme_fits(tuple([n for n, _ in pts]), ys)
+    return (_rate(upper, ys, "limsup", clamp, eps),
+            _rate(lower, ys, "liminf", clamp, eps))
+
+
+def _extreme_fits(ns: tuple, ys) -> tuple:
+    """(upper, lower) (slope, mean, window) fits: the first tail window
+    with the largest and with the smallest slope of ys against ns."""
     upper = lower = None
-    for width in range(max(3, len(tail) - 1), len(tail) + 1):
-        for lo in range(0, len(tail) - width + 1):
-            window = tail[lo:lo + width]
-            slope, resid = _lstsq_slope(window)
-            fit = (slope, resid, (window[0][0], window[-1][0]))
-            if upper is None or slope > upper[0]:
-                upper = fit
-            if lower is None or slope < lower[0]:
-                lower = fit
-    return (_estimate(upper, "limsup", clamp, eps),
-            _estimate(lower, "liminf", clamp, eps))
+    for window in _tail_windows(ns):
+        slope, y_bar = _window_slope(window, ys)
+        if upper is None or slope > upper[0]:
+            upper = (slope, y_bar, window)
+        if lower is None or slope < lower[0]:
+            lower = (slope, y_bar, window)
+    return upper, lower
 
 
-def _estimate(fit, mode, clamp, eps) -> RateEstimate:
-    value, resid, win = fit
-    if clamp:
-        value = max(value, 0.0)
-    return RateEstimate(value, win, eps, resid, mode)
+def _rate(fit, ys, mode: str, clamp: bool, eps, eps_trend=None
+          ) -> RateEstimate:
+    """The estimate of one kept fit; only here is a residual computed."""
+    slope, y_bar, window = fit
+    return RateEstimate(_value(fit, clamp), window.span, eps,
+                        _window_residual(window, ys, slope, y_bar), mode,
+                        eps_trend)
+
+
+def _value(fit, clamp: bool) -> float:
+    return max(fit[0], 0.0) if clamp else fit[0]
 
 
 def _require_distinct(n_values) -> None:
@@ -116,20 +134,63 @@ def _require_distinct(n_values) -> None:
             f"window {tuple(n_values)} needs two or more distinct n")
 
 
-def _lstsq_slope(window):
-    """Least-squares slope of (n, y) pairs with distinct n, and the RMS
-    residual of the fitted line."""
-    k = len(window)
-    n_bar = sum(n for n, _ in window) / k
-    y_bar = sum(y for _, y in window) / k
-    sxx = sum((n - n_bar) ** 2 for n, _ in window)
-    slope = sum((n - n_bar) * (y - y_bar) for n, y in window) / sxx
-    sse = sum((y_bar + slope * (n - n_bar) - y) ** 2 for n, y in window)
-    return slope, math.sqrt(sse / k)
+class _Window(NamedTuple):
+    """The n-side of one least-squares window: points start..stop - 1 of a
+    curve, their deviations n - n_bar, and sxx = sum of their squares."""
+
+    start: int
+    stop: int
+    devs: tuple
+    sxx: float
+    span: tuple                    # (first n, last n)
+
+
+def _window(ns: tuple, start: int, stop: int) -> _Window:
+    """The window over ns[start:stop], whose n are distinct."""
+    part = ns[start:stop]
+    n_bar = sum(part) / len(part)
+    devs = tuple(n - n_bar for n in part)
+    return _Window(start, stop, devs, sum(d ** 2 for d in devs),
+                  (part[0], part[-1]))
+
+
+@lru_cache(maxsize=64)
+def _tail_windows(ns: tuple) -> tuple:
+    """The windows `growth_rates` fits over a curve with these ascending n:
+    every run of the last max(3, ceil(k/2)) points that leaves out at most
+    one of them (and is at least 3 wide), narrowest first.  Built once per
+    n-tuple; a tuple with fewer than 3 or repeated n raises on every call,
+    since exceptions are not cached."""
+    if len(ns) < 3:
+        raise ValueError("growth_rate needs at least 3 data points")
+    _require_distinct(ns)
+    tail = max(3, (len(ns) + 1) // 2)
+    first = len(ns) - tail
+    return tuple(_window(ns, first + lo, first + lo + width)
+                 for width in range(max(3, tail - 1), tail + 1)
+                 for lo in range(0, tail - width + 1))
+
+
+def _window_slope(window: _Window, ys) -> tuple[float, float]:
+    """(least-squares slope, mean) of ys[start:stop] against the window's
+    n: sum((n - n_bar)(y - y_bar)) / sxx."""
+    part = ys[window.start:window.stop]
+    y_bar = sum(part) / len(part)
+    return (sum(map(mul, window.devs, map(sub, part, repeat(y_bar))))
+            / window.sxx, y_bar)
+
+
+def _window_residual(window: _Window, ys, slope: float, y_bar: float
+                     ) -> float:
+    """RMS residual of ys[start:stop] about the fitted line."""
+    part = ys[window.start:window.stop]
+    sse = sum([(y_bar + slope * d - y) ** 2
+               for d, y in zip(window.devs, part)])
+    return math.sqrt(sse / len(part))
 
 
 # ---------------------------------------------------------------------------
-# Separation curves (one cell per (ball, n), counted for every eps)
+# Separation curves (each cell counted for every reported eps at once)
 # ---------------------------------------------------------------------------
 
 def cell_log_count(sys: System, ball: Ball, n: int, eps: float) -> float:
@@ -140,46 +201,59 @@ def cell_log_count(sys: System, ball: Ball, n: int, eps: float) -> float:
 
 def cell_log_counts(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
     """[log of the (n, eps)-separated count inside `ball`] for each eps of
-    `epsilons`; the eps-free part of the cell is built once.
+    `epsilons`: the one-n case of `_ball_rows`.
 
     1D, toral and symbolic cells are counted exactly; any other system has
     no exact count and raises ValueError.
     """
+    return _ball_rows(sys, ball, (n,), epsilons)[0]
+
+
+def _ball_rows(sys: System, ball: Ball, n_values, epsilons) -> list[list]:
+    """[[log count for each eps] for each n of `n_values`] inside one fixed
+    ball; the parts of the cells that depend on neither eps nor n are built
+    once."""
     space = sys.space
     if space in (CIRCLE, INTERVAL):
-        return _cell_1d(sys, ball, n, epsilons)
+        pieces, whole = _pieces_1d(space, ball.center.coords[0], ball.radius)
+        per_piece = [separated.exact_variations(sys, lo, hi, n_values)
+                     for lo, hi in pieces]
+        return [_log_counts_1d(sum(tvs), whole, epsilons)
+                for tvs in zip(*per_piece)]
     if space == TORUS and sys.matrix is not None:
-        return _cell_toral(sys, ball, n, epsilons)
+        return _toral_rows(sys, [(n, ball.radius) for n in n_values],
+                           epsilons)
     if space == SYMBOLIC:
-        return _cell_symbolic(sys, ball, n, epsilons)
+        m = Metric(SYMBOLIC, alphabet=sys.alphabet or 2)
+        m_fixed = pinned_symbols(ball, m)
+        return [_symbolic_row(n, m, m_fixed, epsilons) for n in n_values]
     raise ValueError(f"system {sys.name!r} has no exact cell count")
 
 
-def _cell_1d(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
-    # exact count from the branch pushforward
-    radius = min(ball.radius, 0.5) if sys.space == CIRCLE else ball.radius
-    c = ball.center.coords[0]
-    wrap = False
-    if sys.space == CIRCLE:
+def _pieces_1d(space: str, c: float, radius: float):
+    """The pieces of the 1D ball of centre c and `radius` that the branch
+    walk pushes forward, in summation order, and whether the ball is the
+    whole circle."""
+    if space == CIRCLE:
+        radius = min(radius, 0.5)
         if radius >= 0.5 - 1e-15:
-            tv = separated.exact_variation(sys, 0.0, 1.0, n)
-            wrap = True
-        else:
-            lo, hi = c - radius, c + radius
-            if lo < 0.0:
-                tv = separated.exact_variation(sys, 0.0, hi, n) \
-                    + separated.exact_variation(sys, lo + 1.0, 1.0, n)
-            elif hi > 1.0:
-                tv = separated.exact_variation(sys, lo, 1.0, n) \
-                    + separated.exact_variation(sys, 0.0, hi - 1.0, n)
-            else:
-                tv = separated.exact_variation(sys, lo, hi, n)
-    else:
-        tv = separated.exact_variation(sys, max(c - radius, 0.0),
-                                       min(c + radius, 1.0), n)
+            return ((0.0, 1.0),), True
+        lo, hi = c - radius, c + radius
+        if lo < 0.0:
+            return ((0.0, hi), (lo + 1.0, 1.0)), False
+        if hi > 1.0:
+            return ((lo, 1.0), (0.0, hi - 1.0)), False
+        return ((lo, hi),), False
+    return ((max(c - radius, 0.0), min(c + radius, 1.0)),), False
+
+
+def _log_counts_1d(tv: float, whole: bool, epsilons) -> list[float]:
+    """Exact 1D counts from the image variation of the ball: a whole
+    circle's points lie on a cycle of circumference tv."""
     tv *= 1.0 - 1e-12
-    return [math.log(max(int(tv / eps), 1) if wrap else int(tv / eps) + 1)
-            for eps in epsilons]
+    if whole:
+        return [math.log(max(int(tv / eps), 1)) for eps in epsilons]
+    return [math.log(int(tv / eps) + 1) for eps in epsilons]
 
 
 def _real_eigenbasis(matrix):
@@ -205,8 +279,9 @@ def _real_eigenbasis(matrix):
     return out
 
 
-def _cell_toral(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
-    """Product of the greedy counts along the expanding eigendirections.
+def _toral_rows(sys: System, cells, epsilons) -> list[list]:
+    """Product of the greedy counts along the expanding eigendirections, for
+    each (n, radius) of `cells`, from one eigendecomposition.
 
     A linear map sends the segment z + t*v (|t| <= r) onto a segment along
     A^(n-1) v, so its sup-norm image variation is exactly
@@ -214,48 +289,38 @@ def _cell_toral(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
     Contracting directions stop contributing separated points once the ball
     outruns eps.
     """
-    radius = min(ball.radius, 0.5)
-    power = np.linalg.matrix_power(np.asarray(sys.matrix, dtype=float), n - 1)
-    tvs = [2 * radius * float(np.abs(power @ vec).max()) * (1.0 - 1e-12)
-           for modulus, vec in _real_eigenbasis(sys.matrix)
-           if modulus > 1.0 + 1e-12]
-    out = []
-    for eps in epsilons:
-        log_total = 0.0
-        for tv in tvs:
-            log_total += math.log(int(tv / eps) + 1)
-        out.append(log_total)
-    return out
+    a = np.asarray(sys.matrix, dtype=float)
+    expanding = [vec for modulus, vec in _real_eigenbasis(sys.matrix)
+                 if modulus > 1.0 + 1e-12]
+    rows = []
+    for n, radius in cells:
+        radius = min(radius, 0.5)
+        power = np.linalg.matrix_power(a, n - 1)
+        tvs = [2 * radius * float(np.abs(power @ vec).max()) * (1.0 - 1e-12)
+               for vec in expanding]
+        row = []
+        for eps in epsilons:
+            log_total = 0.0
+            for tv in tvs:
+                log_total += math.log(int(tv / eps) + 1)
+            row.append(log_total)
+        rows.append(row)
+    return rows
 
 
-def _cell_symbolic(sys: System, ball: Ball, n: int, epsilons) -> list[float]:
+def _symbolic_row(n: int, m: Metric, m_fixed: int, epsilons) -> list[float]:
     """k^(free prefix symbols): words are (n, eps)-separated iff they differ
     within their first `plen` symbols, and the ball pins the first `m_fixed`
     of them to the centre's.  This is the distinct-prefix count of the word
     grid at resolution beta^-plen, whose words have max(plen, 1) symbols."""
-    m = Metric(SYMBOLIC, alphabet=sys.alphabet or 2)
-    m_fixed = pinned_symbols(ball, m)
-    out = []
-    for eps in epsilons:
-        free = max(separation_prefix_length(n, eps, m.beta) - m_fixed, 0)
-        out.append(math.log(m.alphabet ** free))
-    return out
+    return [math.log(m.alphabet ** max(
+                separation_prefix_length(n, eps, m.beta) - m_fixed, 0))
+            for eps in epsilons]
 
 
-def _separation_curves(sys: System, ball_for_n, sched: Schedule):
-    """One ([(n, log count)], eps) pair per reported eps (see `_reported`),
-    with an n-dependent ball; each (ball, n) cell is built once for all of
-    them."""
-    epsilons = _reported(sched)
-    curves = [[] for _ in epsilons]
-    for n in sched.n_values:
-        ball = ball_for_n(n)
-        if ball is None:
-            continue
-        for curve, logc in zip(curves, cell_log_counts(sys, ball, n,
-                                                       epsilons)):
-            curve.append((n, logc))
-    return list(zip(curves, epsilons))
+def _columns(rows, epsilons) -> list[tuple]:
+    """Per-eps log-count columns of per-n rows."""
+    return list(zip(*rows)) or [() for _ in epsilons]
 
 
 def _reported(sched: Schedule) -> tuple:
@@ -271,20 +336,23 @@ def _reported(sched: Schedule) -> tuple:
 def restricted_entropy(sys: System, region: Ball,
                        sched: Schedule = DEFAULT_SCHEDULE) -> RateEstimate:
     """Growth rate of separated counts inside a fixed compact ball."""
-    curves = _separation_curves(sys, lambda n: region, sched)
-    return _with_eps_trend([growth_rates(curve, False, eps)[0]
-                            for curve, eps in curves])
+    epsilons = _reported(sched)
+    ns = tuple([int(n) for n in sched.n_values])
+    columns = _columns(_ball_rows(sys, region, ns, epsilons), epsilons)
+    return _with_eps_trend([(_extreme_fits(ns, ys)[0], ys, eps)
+                            for ys, eps in zip(columns, epsilons)],
+                           "limsup", False)
 
 
-def _with_eps_trend(per_eps):
-    """The last estimate of `per_eps`, with its difference from the one
-    before it (if any) as the eps trend."""
-    final = per_eps[-1]
+def _with_eps_trend(per_eps, mode: str, clamp: bool) -> RateEstimate:
+    """The estimate of the last (fit, ys, eps) of `per_eps`, with the
+    difference of its value from the one before it (if any) as the eps
+    trend."""
+    fit, ys, eps = per_eps[-1]
     trend = None
     if len(per_eps) > 1:
-        trend = final.value - per_eps[-2].value
-    return RateEstimate(final.value, final.n_window, final.eps, final.residual,
-                        final.kind, trend, final.warning)
+        trend = _value(fit, clamp) - _value(per_eps[-2][0], clamp)
+    return _rate(fit, ys, mode, clamp, eps, trend)
 
 
 def yz_entropy_function(sys: System, x: Point,
@@ -294,35 +362,54 @@ def yz_entropy_function(sys: System, x: Point,
     the restricted growth rate, with eps -> 0 taken last."""
     if list(deltas) != sorted(deltas, reverse=True):
         raise ValueError("delta ladder must be descending")
-    per_eps = [None] * len(_reported(sched))
+    epsilons = _reported(sched)
+    ns = tuple([int(n) for n in sched.n_values])
+    per_eps = [None] * len(epsilons)
     for delta in deltas:
-        ball = Ball(x, delta)
-        curves = _separation_curves(sys, lambda n: ball, sched)
-        for i, (curve, eps) in enumerate(curves):
-            est = growth_rates(curve, False, eps)[0]
-            if per_eps[i] is None or est.value < per_eps[i].value:
-                per_eps[i] = est
-    return _with_eps_trend(per_eps)
+        rows = _ball_rows(sys, Ball(x, delta), ns, epsilons)
+        for i, ys in enumerate(_columns(rows, epsilons)):
+            fit = _extreme_fits(ns, ys)[0]
+            if per_eps[i] is None or fit[0] < per_eps[i][0][0]:
+                per_eps[i] = (fit, ys, epsilons[i])
+    return _with_eps_trend(per_eps, "limsup", False)
 
 
 def translocal_entropy(sys: System, z: Point, omega: float,
                        sched: Schedule = DEFAULT_SCHEDULE
                        ) -> tuple[RateEstimate, RateEstimate]:
     """Upper/lower growth rates on closed balls of radius exp(-omega*n),
-    clamped at zero; each curve is fitted once for both."""
+    clamped at zero; each curve is fitted once for both.
+
+    A radius below 1e-13 (below representable sample resolution) drops its
+    n.  A 1D cell is priced from the centre and radius directly, and a toral
+    curve takes one eigendecomposition."""
     if omega < 0:
         raise ValueError("omega must be >= 0")
-
-    def ball_for_n(n):
-        r = math.exp(-omega * n)
-        if r < 1e-13:
-            return None     # below representable sample resolution
-        return Ball(z, r)
-
-    rates = [growth_rates(curve, True, eps)
-             for curve, eps in _separation_curves(sys, ball_for_n, sched)]
-    return (_with_eps_trend([upper for upper, _ in rates]),
-            _with_eps_trend([lower for _, lower in rates]))
+    cells = [(n, r) for n in sched.n_values
+             if (r := math.exp(-omega * n)) >= 1e-13]
+    epsilons = _reported(sched)
+    space = sys.space
+    if space in (CIRCLE, INTERVAL):
+        c = z.coords[0]
+        rows = []
+        for n, r in cells:
+            pieces, whole = _pieces_1d(space, c, r)
+            tv = 0
+            for lo, hi in pieces:
+                tv += separated.exact_variation(sys, lo, hi, n)
+            rows.append(_log_counts_1d(tv, whole, epsilons))
+    elif space == TORUS and sys.matrix is not None:
+        rows = _toral_rows(sys, cells, epsilons)
+    else:
+        rows = [cell_log_counts(sys, Ball(z, r), n, epsilons)
+                for n, r in cells]
+    ns = tuple([int(n) for n, _ in cells])
+    columns = _columns(rows, epsilons)
+    upper, lower = zip(*(_extreme_fits(ns, ys) for ys in columns))
+    return (_with_eps_trend(list(zip(upper, columns, epsilons)), "limsup",
+                            True),
+            _with_eps_trend(list(zip(lower, columns, epsilons)), "liminf",
+                            True))
 
 
 def lyapunov_exponent(sys: System, x: Point, n: int) -> tuple[float, float]:

@@ -51,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measures, spaces
-from .entropy import (DEFAULT_SCHEDULE, Schedule, _lstsq_slope,
-                      _require_distinct, growth_rate)
+from .entropy import (DEFAULT_SCHEDULE, Schedule, _require_distinct,
+                      _window, _window_slope, growth_rate)
 from .errors import UnbracketedError
 from .maps import Potential, System, full_branch_slopes
 from .spaces import CIRCLE, INTERVAL, Ball, Point
@@ -346,7 +346,8 @@ def _log_weight_trend(weights, variant: str) -> float:
         return growth_rate(data, "limsup").value
     if variant == "translocal-lower":
         return growth_rate(data, "liminf").value
-    return _lstsq_slope(data)[0]
+    ns = tuple([N for N, _ in data])
+    return _window_slope(_window(ns, 0, len(ns)), [y for _, y in data])[0]
 
 
 def critical_exponent(sys: System, region: Region, pot: Potential,

@@ -1,10 +1,10 @@
 """Bowen metrics and maximal (n, eps)-separated-set counting.
 
 The entropy estimators count every cell in closed form.  From this module
-they use `exact_variation`, the image variation of a 1D interval pushed
-forward through the map's monotone branch table, and
-`separation_prefix_length` for shifts.  The sample-based counts are the
-references those closed forms are checked against:
+they use `exact_variations`, the image variation of a 1D interval pushed
+forward through the map's monotone branch table, for every n of a schedule
+from one walk, and `separation_prefix_length` for shifts.  The sample-based
+counts are the references those closed forms are checked against:
 
 * a pairwise greedy scan (deterministic sample order, admit a point iff its
   Bowen distance to every admitted point exceeds eps);
@@ -242,7 +242,14 @@ def _min_gap(coords: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def exact_variation(sys: System, lo: float, hi: float, n: int) -> float:
-    """Total variation of f^(n-1) over [lo, hi], counted with multiplicity.
+    """Total variation of f^(n-1) over [lo, hi], counted with multiplicity:
+    the one-n case of `exact_variations`."""
+    return exact_variations(sys, lo, hi, (n,))[0]
+
+
+def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
+    """[total variation of f^(n-1) over [lo, hi]] for each n of `n_values`,
+    counted with multiplicity, from one branch walk to max(n_values).
 
     An iterate is computed through its base system.  On a table whose
     branches are all affine with |slope| s, |(f^(n-1))'| = s^(n-1)
@@ -250,24 +257,36 @@ def exact_variation(sys: System, lo: float, hi: float, n: int) -> float:
     Any other table is walked: the interval is pushed forward through the
     monotone branches, branches covered in full contribute a closed-form
     growth factor, and only the two end fragments are tracked, so the cost
-    is linear in n.  Both resolve image laps far below any feasible sample
-    resolution.
+    is linear in max(n_values).  The fragments do not depend on n, so each
+    n keeps its own running total of the full-branch growths, in walk
+    order, and is read off after its n - 1 steps: each value is the one a
+    walk to that n alone gives, bit for bit.  Both resolve image laps far
+    below any feasible sample resolution.
     """
-    if n < 1:
+    ns = tuple(n_values)
+    if ns and min(ns) < 1:
         raise ValueError("n must be >= 1")
     if not hi > lo:
         raise ValueError("empty interval")
     if sys.base is not None:
         # iterate g^r: the (n-1)-th image equals the r*(n-1)-th image of g
-        return exact_variation(sys.base, lo, hi, sys.power * (n - 1) + 1)
+        return exact_variations(sys.base, lo, hi,
+                                [sys.power * (n - 1) + 1 for n in ns])
     if not sys.branches:
         raise ValueError(f"system {sys.name!r} has no monotone branch table")
     if sys.uniform_slope is not None:
-        return (hi - lo) * sys.uniform_slope ** (n - 1)
-    total = 0.0
+        return [(hi - lo) * sys.uniform_slope ** (n - 1) for n in ns]
+    last = max(ns, default=1) - 1
+    totals = [0.0] * len(ns)
+    out = [None] * len(ns)
     partials = [(float(lo), float(hi))]
-    for step in range(n - 1):
-        nxt = []
+    for step in range(last + 1):
+        for i, n in enumerate(ns):
+            if n - 1 == step:
+                out[i] = totals[i] + sum(b - a for a, b in partials)
+        if step == last:
+            break
+        nxt, full = [], []
         for a, b in partials:
             if b - a <= 0.0:
                 continue
@@ -277,15 +296,20 @@ def exact_variation(sys: System, lo: float, hi: float, n: int) -> float:
                     continue
                 tol = 1e-12 * (br.hi - br.lo)
                 if s <= br.lo + tol and e >= br.hi - tol:
-                    total += canonical_growth(sys, br.canonical, n - 2 - step)
+                    full.append(br.canonical)
                 else:
                     fa, fb = br.fn(s), br.fn(e)
                     if fb < fa:
                         fa, fb = fb, fa
                     nxt.append((fa, fb))
         partials = nxt
-    total += sum(b - a for a, b in partials)
-    return total
+        for i, n in enumerate(ns):
+            if n - 2 >= step:
+                total = totals[i]
+                for canonical in full:
+                    total += canonical_growth(sys, canonical, n - 2 - step)
+                totals[i] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

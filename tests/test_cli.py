@@ -276,6 +276,56 @@ point = circle:0.3141592
     assert float(row["rel_error"]) <= 0.05
 
 
+@pytest.mark.parametrize("system, omega, want", [
+    ("tripling", 0.5, math.log(3.0) - 0.5),
+    ("iterate:tripling:2", 0.5, math.log(9.0) - 0.5),
+    ("iterate:iterate:tripling:2:2", 0.5, math.log(81.0) - 0.5),
+    ("iterate:tripling:2", 2.5, 0.0),          # log 9 < 2.5
+])
+def test_translocal_oracle_reads_the_root_slope(tmp_path, capsys, system,
+                                                omega, want):
+    # any iterate f = g^p of a map with one slope s expects (p log s - omega)+
+    cfg = write_config(tmp_path / "tl.ini", f"""
+[experiment]
+kind = translocal
+system = {system}
+point = circle:0.3
+omega = {omega}
+""")
+    csv_path = tmp_path / "tl.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["expected"]) == pytest.approx(want, abs=1e-12)
+    assert float(row["rel_error"]) <= 0.10
+
+
+@pytest.mark.parametrize("system", ["tripling", "g3branch",
+                                    "iterate:g3branch:2"])
+def test_translocal_pressure_oracle_on_any_lebesgue_circle_map(
+        tmp_path, capsys, system):
+    # a metric ball's Lebesgue mass does not depend on the map: omega + c
+    cfg = write_config(tmp_path / "tlp.ini", f"""
+[experiment]
+kind = translocal-pressure
+system = {system}
+measure = lebesgue-circle
+potential = constant:0.4
+point = circle:0.3141
+omega = 0.7
+""")
+    json_path = tmp_path / "tlp.json"
+    csv_path = tmp_path / "tlp.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path),
+                    "--json", str(json_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["expected"]) == pytest.approx(1.1)
+    summary = json.loads(json_path.read_text())
+    assert summary["max_rel_error"] is not None
+    assert summary["max_rel_error"] <= 0.10
+
+
 def test_bowen_ball_with_several_arcs_exits_2(tmp_path, capsys):
     # eps 0.2 exceeds 1/(s + 1) = 0.1 for the slope-9 map
     cfg = write_config(tmp_path / "bk.ini", """

@@ -223,6 +223,17 @@ def test_translocal_pushes_each_cell_forward_once(monkeypatch, epsilons):
 # that fits every eps and each mode on its own
 # ---------------------------------------------------------------------------
 
+def _ref_lstsq_slope(window):
+    """Least-squares slope of (n, y) pairs, and the RMS residual."""
+    k = len(window)
+    n_bar = sum(n for n, _ in window) / k
+    y_bar = sum(y for _, y in window) / k
+    sxx = sum((n - n_bar) ** 2 for n, _ in window)
+    slope = sum((n - n_bar) * (y - y_bar) for n, y in window) / sxx
+    sse = sum((y_bar + slope * (n - n_bar) - y) ** 2 for n, y in window)
+    return slope, math.sqrt(sse / k)
+
+
 def _ref_growth_rate(log_counts, mode, clamp, eps):
     pts = sorted((int(n), float(v)) for n, v in log_counts)
     if len(pts) < 3:
@@ -232,7 +243,7 @@ def _ref_growth_rate(log_counts, mode, clamp, eps):
     for width in range(max(3, len(tail) - 1), len(tail) + 1):
         for lo in range(0, len(tail) - width + 1):
             window = tail[lo:lo + width]
-            slope, resid = entropy._lstsq_slope(window)
+            slope, resid = _ref_lstsq_slope(window)
             if best is None or (mode == "limsup" and slope > best[0]) \
                     or (mode == "liminf" and slope < best[0]):
                 best = (slope, resid, (window[0][0], window[-1][0]))
@@ -316,13 +327,85 @@ def test_translocal_fits_each_reported_curve_once(monkeypatch, epsilons):
     # 9 n-values leave a 5-point tail: windows 4, 4 and 5 wide, fitted once
     # for both bounds, for the last eps and the one before it
     fits = []
-    lstsq_slope = entropy._lstsq_slope
+    window_slope = entropy._window_slope
 
-    def counted(window):
+    def counted(window, ys):
         fits.append(window)
-        return lstsq_slope(window)
+        return window_slope(window, ys)
 
-    monkeypatch.setattr(entropy, "_lstsq_slope", counted)
+    monkeypatch.setattr(entropy, "_window_slope", counted)
     sched = Schedule(DEFAULT_SCHEDULE.n_values, epsilons)
     translocal_entropy(get_system("tripling"), circle(0.37), 0.3, sched)
     assert len(fits) == 3 * min(len(epsilons), 2)
+
+
+# ---------------------------------------------------------------------------
+# One pass per schedule: one walk per fixed ball, one design per n-tuple,
+# one eigendecomposition per toral curve
+# ---------------------------------------------------------------------------
+
+# (system, centre, radius, interval pieces of the ball)
+FIXED_BALLS = [("staircase", interval(0.3), 0.02, 1),
+               ("g3branch", circle(0.5), 0.1, 1),
+               ("g3branch", circle(0.02), 0.05, 2),
+               ("iterate:tripling:2", circle(0.97), 0.05, 2),
+               ("tripling", circle(0.3), 0.5, 1)]
+
+
+@pytest.mark.parametrize("n_values", [(4, 5, 6), tuple(range(6, 15)),
+                                      tuple(range(10, 41))])
+@pytest.mark.parametrize("sys_id,center,radius,pieces", FIXED_BALLS)
+def test_fixed_balls_walk_once_per_piece(monkeypatch, sys_id, center,
+                                         radius, pieces, n_values):
+    # an iterate's walk recurses into its base system; only the calls the
+    # estimators make are counted
+    calls = []
+    exact_variations = separated.exact_variations
+    sys, sched = get_system(sys_id), Schedule(n_values)
+
+    def counted(walked, lo, hi, ns):
+        if walked is sys:
+            calls.append(tuple(ns))
+        return exact_variations(walked, lo, hi, ns)
+
+    monkeypatch.setattr(separated, "exact_variations", counted)
+    restricted_entropy(sys, Ball(center, radius), sched)
+    assert calls == [n_values] * pieces
+    calls.clear()
+    # a ladder of three neighbourhoods, each the same ball
+    yz_entropy_function(sys, center, (radius,) * 3, sched)
+    assert calls == [n_values] * pieces * 3
+
+
+@pytest.mark.parametrize("data", [[(n, 0.5 * n) for n in (6, 6, 7, 8)],
+                                  [(6, 3.0), (7, 3.5)]])
+def test_a_bad_curve_raises_on_every_call(data):
+    # the window design is cached per n-tuple, its errors are not
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            growth_rates(data)
+    assert entropy._tail_windows.cache_info().maxsize is not None
+
+
+def test_window_design_is_cached_per_n_tuple():
+    entropy._tail_windows.cache_clear()
+    for omega in (0.0, 0.5, 1.0):
+        translocal_entropy(get_system("tripling"), circle(0.37), omega)
+    info = entropy._tail_windows.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+@pytest.mark.parametrize("sys_id", ["cat", "toral:2,0;0,3"])
+def test_toral_curve_takes_one_eigendecomposition(monkeypatch, sys_id):
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    sys, z = get_system(sys_id), torus(0.1, 0.2)
+    translocal_entropy(sys, z, 0.3)
+    restricted_entropy(sys, Ball(z, 0.3))
+    assert len(calls) == 2

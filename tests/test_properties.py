@@ -1,5 +1,6 @@
-"""Hypothesis properties of the exact branch pushforward and its
-uniform-slope closed form, of the closed-form toral and full-shift cells, of
+"""Hypothesis properties of the exact branch pushforward, of its one walk
+over an n-set, and of its uniform-slope closed form, of the closed-form
+toral and full-shift cells, of
 cell counts along an eps ladder, of the closed-form window slope, of
 coded-shift language counts, of the kept coded-language walk, and of
 Bowen-ball masses."""
@@ -13,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translocal import symbolic
-from translocal.entropy import (_lstsq_slope, _real_eigenbasis,
-                                cell_log_count, cell_log_counts)
+from translocal.entropy import (_real_eigenbasis, _window, _window_residual,
+                                _window_slope, cell_log_count,
+                                cell_log_counts)
 from translocal.maps import (canonical_growth, catalogue_ids, get_system,
                              monotone_branches)
 from translocal.measures import bowen_ball_measure, get_measure
-from translocal.separated import exact_variation, separation_prefix_length
+from translocal.separated import (exact_variation, exact_variations,
+                                  separation_prefix_length)
 from translocal.spaces import (CIRCLE, INTERVAL, SYMBOLIC, Ball, Metric,
                                circle, interval, symbolic_grid, torus, word)
 from translocal.symbolic import (coded_language_count, get_family,
@@ -132,6 +135,25 @@ def test_mixed_slope_tables_keep_the_walk(sys_id, lo, width, n):
     assert exact_variation(sys, lo, hi, n) == _walk_variation(sys, lo, hi, n)
 
 
+@pytest.mark.parametrize("sys_id", ["staircase", "pomeau-manneville",
+                                    "sqrtmap", "g3branch",
+                                    "iterate:g3branch:2"])
+@PROPERTY
+@given(lo=st.floats(0.0, 0.98), width=st.floats(0.01, 1.0),
+       ns=st.sets(st.integers(1, 9), min_size=1, max_size=9))
+def test_one_walk_gives_every_n_bit_for_bit(sys_id, lo, width, ns):
+    # each n's running total is read off at its own last step, so the
+    # one walk over the n-set repeats each n's own walk exactly
+    sys = get_system(sys_id)
+    hi = min(lo + width, 1.0)
+    n_values = sorted(ns)
+    got = exact_variations(sys, lo, hi, n_values)
+    assert repr(got) == repr([exact_variation(sys, lo, hi, n)
+                              for n in n_values])
+    assert repr(got) == repr([_walk_variation(sys, lo, hi, n)
+                              for n in n_values])
+
+
 def test_uniform_slope_is_derived_from_the_branch_slopes():
     assert get_system("tripling").uniform_slope == 3.0
     assert get_system("identity").uniform_slope == 1.0
@@ -242,7 +264,9 @@ def test_fullshift_cell_counts_the_grid_prefixes(k, data, closed, n, eps,
 def test_window_slope_is_the_least_squares_fit(data, ns):
     ys = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=len(ns),
                             max_size=len(ns)))
-    slope, resid = _lstsq_slope(list(zip(ns, ys)))
+    window = _window(tuple(ns), 0, len(ns))
+    slope, y_bar = _window_slope(window, ys)
+    resid = _window_residual(window, ys, slope, y_bar)
     a = np.stack([np.asarray(ns, dtype=float), np.ones(len(ns))], axis=1)
     coef = np.linalg.lstsq(a, np.asarray(ys), rcond=None)[0]
     want = float(np.sqrt(np.mean((a @ coef - np.asarray(ys)) ** 2)))
