@@ -408,4 +408,5 @@ def test_toral_curve_takes_one_eigendecomposition(monkeypatch, sys_id):
     sys, z = get_system(sys_id), torus(0.1, 0.2)
     translocal_entropy(sys, z, 0.3)
     restricted_entropy(sys, Ball(z, 0.3))
+    # one for the 9-cell translocal curve, one for the restricted one
     assert len(calls) == 2
