@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import entropy, maps, measures, pressure, symbolic, spaces
 from .entropy import DEFAULT_SCHEDULE, Schedule
 from .errors import (BudgetExceededError, HorizonExceededError,
@@ -96,11 +94,10 @@ def load_config(path: str):
 
 def expected_translocal(sys_obj, point, omega):
     name = sys_obj.name
-    root, power = maps.root_system(sys_obj)
-    if root.uniform_slope is not None:
-        # |(f^n)'| = s^(p n) everywhere on an iterate of a one-slope map
-        return (max(0.0, power * math.log(root.uniform_slope) - omega),
-                "closed form (p*log s - omega)+ of a one-slope map", 0.10)
+    if sys_obj.uniform_slope is not None:
+        # |(f^n)'| = s^n everywhere on a one-slope map (iterates included)
+        return (max(0.0, math.log(sys_obj.uniform_slope) - omega),
+                "closed form (log s - omega)+ of a one-slope map", 0.10)
     if name == "pomeau-manneville" and abs(point.coords[0]) < 1e-12:
         return 0.0, "closed form 0 at the neutral fixed point", None
     if name == "sqrtmap" and abs(point.coords[0]) < 1e-12:
@@ -120,14 +117,14 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
         return sys_obj.h_top, "catalogue topological entropy", 0.10
     if kind == "brin-katok":
         mu = extra.get("measure")
-        root, power = maps.root_system(sys_obj)
-        if mu == "lebesgue-circle" and root.uniform_slope is not None:
-            return (power * math.log(root.uniform_slope),
+        if mu == "lebesgue-circle" and sys_obj.uniform_slope is not None:
+            return (math.log(sys_obj.uniform_slope),
                     "exact Bowen-interval length decay", 0.05)
         if sys_obj.name.startswith("fullshift:2") \
                 and mu == "bernoulli:0.5,0.5":
             return math.log(2.0), "fair-coin cylinder mass decay", 0.05
-    if kind == "translocal-pressure" and sys_obj.lebesgue_circle_invariant \
+    slopes = maps.full_branch_slopes(sys_obj)
+    if kind == "translocal-pressure" and slopes is not None \
             and extra.get("measure") == "lebesgue-circle":
         # a metric ball's Lebesgue mass does not depend on the map
         shift = float(pot_id.split(":")[1]) if pot_id.startswith("constant") \
@@ -135,11 +132,11 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
         if pot_id in ("zero",) or pot_id.startswith("constant"):
             return omega + shift, "arc-length ball measure closed form", 0.10
     if kind == "yz-function" and sys_obj.name == "staircase":
-        level = int(maps._staircase_level(
-            np.asarray([point.coords[0]]))[0])
-        return (math.log(2.0 * level + 1.0),
-                "per-level slope count closed form", 0.10)
-    slopes = maps.full_branch_slopes(sys_obj)
+        # the steepest branch reaching x; at an edge 2^-m, band m + 1's
+        x = point.coords[0]
+        return (math.log(max(abs(br.slope) for br in sys_obj.branches
+                             if br.lo - 1e-12 <= x <= br.hi + 1e-12)),
+                "per-band slope count closed form", 0.10)
     if kind == "pressure" and slopes is not None:
         if pot_id in ("zero",):
             return (math.log(len(slopes)), "full-branch lap count log k",

@@ -1,17 +1,18 @@
 """Catalogue of dynamical systems behind one uniform evaluation interface.
 
-Every system evaluates vectorized on coordinate arrays of shape (N, d); 1D
-systems additionally expose log|f'| pointwise, toral systems their integer
-matrix.  Each 1D catalogue map carries its full monotone branch table, built
-once with the catalogue; an iterate made by `iterate_system` records its base
-system and power instead.  Branch endpoints are left-closed: the endpoint
-belongs to the branch starting there.
+Every system evaluates vectorized on coordinate arrays of shape (N, d).  A
+1D map is its monotone branch table (see `Branch`) and nothing else: its
+steps, log|f'|, kinks, `h_top` and `max_log_slope` are read off the table.
+Branch ends are left-closed: an end belongs to the branch starting there.
+An iterate of a map whose branches are all affine and increasing onto the
+circle is a composed table of its own; any other iterate, whose table would
+need inverse branches to compose, steps through its base system.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable
 
@@ -23,51 +24,65 @@ from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Point
 
 DEFAULT_HORIZON = 100_000
 STAIRCASE_LEVEL_CAP = 12
+# a composed iterate table holds k^r branches; larger ones are refused
+MAX_ITERATE_BRANCHES = 10_000
+
+
+def _derived(default=None):
+    return field(init=False, repr=False, compare=False, default=default)
 
 
 @dataclass(frozen=True)
 class System:
-    """A catalogue dynamical system.
+    """A catalogue dynamical system, given by its `branches` (1D, sorted by
+    `lo`), its integer `matrix` (torus), its `alphabet` (full shift), or the
+    `base` f and `power` r of an iterate f^r with no table of its own.
 
-    `step_many` maps an (N, d) coordinate array one iterate forward (already
-    reduced into the phase space).  `log_slope_many`, present for 1D systems
-    with a derivative rule, returns log|f'| at each coordinate.
-    `branches` is the full monotone branch table of a 1D map, sorted by `lo`
-    (see `Branch`); exact image variation pushes intervals through it, and
-    `domains` holds the canonical domains its branches map onto, and
-    `uniform_slope` is s when every branch is affine with |slope| s (else
-    None).  An iterate f^r has no table of its own: `base` is f and
-    `power` is r.
-    `lebesgue_circle_invariant` marks circle maps that preserve Lebesgue
-    measure (every branch is affine onto the whole circle).
+    The rest is derived.  `step_many` maps an (N, d) coordinate array one
+    iterate forward, reduced into the phase space, `step` one 1D coordinate;
+    `log_slope_many` gives log|f'|.  Of a table: `cuts` are the branch
+    starts after the first; `log_slopes` is log|slope| per affine branch
+    (None where curved); `singular_ends` flags each branch's (lo, hi) ends
+    that are kinks, where the one-sided |slopes| differ; `uniform_slope` is
+    s when every branch is affine with |slope| s; `h_top` is log k when all
+    k branches map onto the unit domain; `max_log_slope` is None where
+    log|f'| is unbounded.
     """
 
     name: str
     space: str
     dim: int
-    step_many: Callable[[np.ndarray], np.ndarray] | None = None
-    log_slope_many: Callable[[np.ndarray], np.ndarray] | None = None
-    breakpoints: tuple = ()
     matrix: tuple | None = None
-    h_top: float | None = None
     alphabet: int | None = None
     horizon: int = DEFAULT_HORIZON
-    max_log_slope: float | None = None
     branches: tuple = ()
     base: System | None = None
     power: int = 1
-    lebesgue_circle_invariant: bool = False
-    domains: frozenset = field(init=False, repr=False, compare=False)
-    uniform_slope: float | None = field(init=False, repr=False,
-                                        compare=False)
+    step: Callable | None = _derived()
+    step_many: Callable | None = _derived()
+    log_slope_many: Callable | None = _derived()
+    cuts: tuple = _derived(())
+    log_slopes: tuple = _derived(())
+    singular_ends: tuple = _derived(())
+    domains: frozenset = _derived(frozenset())
+    uniform_slope: float | None = _derived()
+    h_top: float | None = _derived()
+    max_log_slope: float | None = _derived()
 
     def __post_init__(self):
-        object.__setattr__(self, "domains",
-                           frozenset(br.canonical for br in self.branches))
-        slopes = {None if br.slope is None else abs(br.slope)
-                  for br in self.branches}
-        object.__setattr__(self, "uniform_slope",
-                           slopes.pop() if len(slopes) == 1 else None)
+        rules = {"h_top": math.log(self.alphabet)} if self.alphabet else {}
+        if self.branches:
+            rules = _table_rules(self.branches, self.space)
+        elif self.base is not None:
+            rules = _iterate_rules(self.base, self.power)
+        elif self.matrix is not None:
+            a = np.asarray(self.matrix, dtype=float)
+            rules = {"step_many": lambda c: (c @ a.T) % 1.0,
+                     "h_top": float(sum(math.log(m) * mult
+                                        for m, mult in toral_eigen_data(self)
+                                        if m > 1.0))}
+        for name, value in rules.items():
+            object.__setattr__(self, name, value)
 
 
 def evaluate(sys: System, x: Point) -> Point:
@@ -78,6 +93,8 @@ def evaluate(sys: System, x: Point) -> Point:
         if len(x.word) < 1:
             raise HorizonExceededError("cannot shift an empty word")
         return Point(SYMBOLIC, word=x.word[1:])
+    if sys.step is not None:
+        return Point(sys.space, (sys.step(x.coords[0]),))
     out = sys.step_many(np.asarray([x.coords], dtype=float))[0]
     return Point(sys.space, tuple(float(v) for v in out))
 
@@ -108,6 +125,16 @@ def orbit_coords(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def point_orbit(sys: System, c: float, n: int) -> list[float]:
+    """[c, f(c), ..., f^(n-1)(c)] for one 1D coordinate, by the scalar step."""
+    if n > sys.horizon:
+        raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    step, out = sys.step, [c]
+    for _ in range(n - 1):
+        out.append(step(out[-1]))
+    return out
+
+
 def log_derivative_sum(sys: System, x: Point, n: int) -> float:
     """Chain-rule sum log|Df^n(x)| = sum_{j<n} log|f'(f^j x)|."""
     sums = log_derivative_sums(sys, x, n)
@@ -115,36 +142,40 @@ def log_derivative_sum(sys: System, x: Point, n: int) -> float:
 
 
 def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
-    """[log|Df^k(x)| for k = 1..n]: one orbit, one log-slope call over it,
-    and the running sum in orbit order."""
-    if sys.log_slope_many is None:
+    """[log|Df^k(x)| for k = 1..n]: one walk of x's orbit through the branch
+    table, each point's log-slope read off the branch that holds it, and the
+    running sum in orbit order.  An orbit point within 1e-12 of a kink of
+    that branch raises SingularOrbitError."""
+    if not sys.branches and (sys.base is None or sys.step is None):
         raise ValueError(f"system {sys.name!r} has no derivative rule")
     if x.space != sys.space:
         raise SpaceMismatchError(f"point in {x.space!r}, system on {sys.space!r}")
-    pts = orbit_coords(sys, x.coords, n)[0]
-    near = np.abs(pts - np.asarray(sys.breakpoints, dtype=float)) < 1e-12
-    # row-major order: the first orbit point first
-    for _, i in zip(*np.nonzero(near)):
-        b = sys.breakpoints[i]
-        if not _differentiable_at(sys, b):
-            raise SingularOrbitError(
-                f"orbit of {x.coords} hits branch endpoint {b}")
+    if not sys.branches:
+        # f^r: every r-th sum of f's, each f^r-step's r terms added in turn
+        r = sys.power
+        return log_derivative_sums(sys.base, x, r * n)[r - 1::r]
+    if n > sys.horizon:
+        raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    table, cuts, logs, kinks = (sys.branches, sys.cuts, sys.log_slopes,
+                                sys.singular_ends)
+    step = sys.step
     sums = []
     total = 0.0
-    for v in sys.log_slope_many(pts).tolist():
-        total += v
-        sums.append(total)
+    c = x.coords[0]
+    with np.errstate(divide="ignore"):
+        for _ in range(n):
+            i = bisect_right(cuts, c)
+            br = table[i]
+            end = (br.lo if kinks[i][0] and c - br.lo < 1e-12 else
+                   br.hi if kinks[i][1] and br.hi - c < 1e-12 else None)
+            if end is not None:
+                raise SingularOrbitError(
+                    f"orbit of {x.coords} hits branch endpoint {end}")
+            v = logs[i]
+            total += v if v is not None else float(br.log_slope(c))
+            sums.append(total)
+            c = step(c)
     return sums
-
-
-def _differentiable_at(sys: System, b: float) -> bool:
-    # Probe one-sided slopes; endpoints with matching slopes are fine.
-    h = 1e-9
-    left = sys.log_slope_many(np.asarray([(b - h) % 1.0 if sys.space == CIRCLE
-                                          else max(b - h, 0.0)]))[0]
-    right = sys.log_slope_many(np.asarray([b]))[0]
-    return bool(np.isfinite(left) and np.isfinite(right)
-                and abs(left - right) < 1e-6)
 
 
 def toral_eigen_data(sys: System) -> list[tuple[float, int]]:
@@ -167,121 +198,131 @@ def toral_eigen_data(sys: System) -> list[tuple[float, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Catalogue maps
-# ---------------------------------------------------------------------------
-
-def _tripling_step(x):
-    return (3.0 * x) % 1.0
-
-
-def _g_step(x):
-    y = np.where(x < 0.5, 2.0 * x, np.where(x < 0.75, 4.0 * x - 2.0, 4.0 * x - 3.0))
-    return y % 1.0
-
-
-def _g_log_slope(x):
-    return np.where(x < 0.5, math.log(2.0), math.log(4.0))
-
-
-def _pm_step(x):
-    x = x[..., 0] if x.ndim > 1 else x
-    # both branches are evaluated; the guards change only the discarded one
-    y = np.where(x < 0.5, x / np.maximum(1.0 - x, 0.5), 2.0 * x - 1.0)
-    return np.clip(y, 0.0, 1.0)
-
-
-def _pm_log_slope(x):
-    return np.where(x < 0.5, -2.0 * np.log1p(-np.minimum(x, 0.5)),
-                    math.log(2.0))
-
-
-def _sqrt_step(x):
-    y = np.where(x < 0.5, np.sqrt(2.0 * x), 2.0 * x - 1.0)
-    return np.clip(y, 0.0, 1.0)
-
-
-def _sqrt_log_slope(x):
-    with np.errstate(divide="ignore"):
-        return np.where(x < 0.5, -0.5 * np.log(2.0 * x), math.log(2.0))
-
-
-def _staircase_level(x):
-    # x in (2^-n, 2^(1-n)] has level n; exact powers of two sit at the top
-    # of their own interval.
-    with np.errstate(divide="ignore"):
-        return np.floor(-np.log2(np.maximum(x, 1e-300))).astype(int) + 1
-
-
-def _staircase_step(x):
-    flat = x[..., 0] if x.ndim > 1 else x
-    n = _staircase_level(flat)
-    frozen = (n > STAIRCASE_LEVEL_CAP) | (flat <= 0.0)
-    n = np.clip(n, 1, STAIRCASE_LEVEL_CAP)
-    base = np.power(2.0, -n.astype(float))
-    laps = 2 * n + 1
-    t = np.clip((flat - base) / base, 0.0, 1.0)
-    s = t * laps
-    j = np.clip(np.ceil(s) - 1, 0, laps - 1).astype(int)
-    frac = s - j
-    y = np.where(j % 2 == 0, frac, 1.0 - frac)
-    out = base * (1.0 + y)
-    return np.where(frozen, flat, out)
-
-
-def _staircase_log_slope(x):
-    n = np.clip(_staircase_level(np.maximum(x, 1e-300)), 1, STAIRCASE_LEVEL_CAP)
-    return np.log(2.0 * n + 1.0)
-
-
-def _wrap_1d(fn):
-    def step(c):
-        return fn(c[:, 0]).reshape(-1, 1)
-    return step
-
-
-def _slope_1d(fn):
-    def slope(c):
-        c = np.asarray(c, dtype=float)
-        return fn(c[..., 0] if c.ndim > 1 else c)
-    return slope
-
-
-def _toral_step(matrix):
-    a = np.asarray(matrix, dtype=float)
-
-    def step(c):
-        return (c @ a.T) % 1.0
-
-    return step
-
-
-# ---------------------------------------------------------------------------
 # Monotone branch tables (1D maps)
 #
 # Every 1D catalogue map is a union of continuous monotone branches, each
 # mapping its domain interval onto a canonical interval ("unit" = [0, 1],
 # ("band", m) = [2^-m, 2^(1-m)] for the staircase, "frozen" for its frozen
-# tail).  This supports exact image-variation computations with no sampling.
+# tail).  The table is the map: stepping, derivatives and exact
+# image-variation computations all read it, with no sampling.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Branch:
-    """One monotone branch: `fn` maps [lo, hi] onto the canonical domain;
-    `slope` is fn's constant derivative when fn is affine, else None."""
+    """One monotone branch: `fn` maps [lo, hi] onto the canonical domain,
+    on a float or elementwise on an array.  `slope` is fn's constant
+    derivative when fn is affine; a curved branch has slope None and gives
+    log|fn'| as `log_slope`, monotone on [lo, hi]."""
 
     lo: float
     hi: float
-    fn: Callable[[float], float]
+    fn: Callable
     canonical: tuple
     slope: float | None = None
+    log_slope: Callable | None = None
 
 
 _UNIT = ("unit",)
+
+# a branch value reduced into the space, for a float and for an array alike
+_REDUCE = {CIRCLE: (lambda y: y % 1.0,) * 2,
+           INTERVAL: (lambda y: min(max(y, 0.0), 1.0),
+                      lambda y: np.clip(y, 0.0, 1.0))}
+
+
+def _table_rules(table: tuple, space: str) -> dict:
+    """Everything a 1D map's attributes derive from its branch table."""
+    cuts = tuple(br.lo for br in table[1:])
+    fns = [br.fn for br in table]
+    reduce, reduce_many = _REDUCE[space]
+    cut_array = np.asarray(cuts, dtype=float)
+
+    def step(c):
+        return reduce(fns[bisect_right(cuts, c)](c))
+
+    def per_branch(rules, x):
+        # rules[i] applied to the points of x that branch i holds
+        at = np.searchsorted(cut_array, x, side="right")
+        out = np.empty_like(x)
+        for i in np.flatnonzero(np.bincount(at.ravel(), minlength=len(fns))):
+            held = at == i
+            out[held] = rules[i](x[held])
+        return out
+
+    def step_many(coords):
+        return reduce_many(per_branch(fns, coords[:, 0])).reshape(-1, 1)
+
+    logs = tuple(None if br.slope is None else math.log(abs(br.slope))
+                 for br in table)
+    log_rules = [br.log_slope if v is None else (lambda x, v=v: v)
+                 for br, v in zip(table, logs)]
+
+    def log_slope_many(coords):
+        c = np.asarray(coords, dtype=float)
+        with np.errstate(divide="ignore"):
+            return per_branch(log_rules, c[..., 0] if c.ndim > 1 else c)
+
+    # one-sided log|slope| at each branch's (lo, hi) ends
+    with np.errstate(divide="ignore"):
+        ends = [(v, v) if v is not None
+                else (float(br.log_slope(br.lo)), float(br.log_slope(br.hi)))
+                for br, v in zip(table, logs)]
+    wraps = space == CIRCLE
+    # kink[i]: branch i's lo end, which is branch i - 1's hi end (on the
+    # circle, branch 0's lo end is the last branch's hi end)
+    kink = [(i > 0 or wraps) and ends[i - 1][1] != ends[i][0]
+            for i in range(len(table))]
+    top = max(v for pair in ends for v in pair)
+    slopes = {None if br.slope is None else abs(br.slope) for br in table}
+    return {
+        "step": step, "step_many": step_many,
+        "log_slope_many": log_slope_many, "cuts": cuts, "log_slopes": logs,
+        "singular_ends": tuple(zip(kink, kink[1:] + kink[:1])),
+        "domains": frozenset(br.canonical for br in table),
+        "uniform_slope": slopes.pop() if len(slopes) == 1 else None,
+        "h_top": (math.log(len(table))
+                  if all(br.canonical == _UNIT for br in table) else None),
+        "max_log_slope": top if math.isfinite(top) else None,
+    }
+
+
+def _iterate_rules(base: System, r: int) -> dict:
+    """The rules of f^r stepped through f, for an f whose table does not
+    compose (or a torus map)."""
+    rules = {"step_many": _repeat(base.step_many, r),
+             "h_top": None if base.h_top is None else r * base.h_top,
+             "max_log_slope": (None if base.max_log_slope is None
+                               else r * base.max_log_slope)}
+    if base.step is not None:
+        def log_slope_many(c):
+            c = np.asarray(c, dtype=float).reshape(-1, 1)
+            total = np.zeros(c.shape[0])
+            for _ in range(r):
+                total += base.log_slope_many(c)
+                c = base.step_many(c)
+            return total
+
+        rules.update(step=_repeat(base.step, r),
+                     log_slope_many=log_slope_many)
+    return rules
+
+
+def _repeat(f, r):
+    def f_r(c):
+        for _ in range(r):
+            c = f(c)
+        return c
+    return f_r
 
 
 def _affine(lo, hi, slope, intercept, canonical=_UNIT):
     """The affine branch x -> slope * x + intercept on [lo, hi]."""
     return Branch(lo, hi, lambda x: slope * x + intercept, canonical, slope)
+
+
+def _sqrt(y):
+    # math.sqrt keeps a float a float; both roots are correctly rounded
+    return np.sqrt(y) if isinstance(y, np.ndarray) else math.sqrt(y)
 
 
 def _staircase_lap_fn(base, laps, j):
@@ -308,66 +349,28 @@ def _staircase_branches() -> tuple:
 
 
 def _catalogue() -> dict[str, System]:
-    log3 = math.log(3.0)
-    systems = {
-        "tripling": System(
-            name="tripling", space=CIRCLE, dim=1,
-            step_many=_wrap_1d(_tripling_step),
-            log_slope_many=_slope_1d(lambda x: np.full_like(x, log3)),
-            breakpoints=(0.0, 1 / 3, 2 / 3),
-            h_top=log3, max_log_slope=log3,
-            branches=(_affine(0.0, 1 / 3, 3.0, 0.0),
-                      _affine(1 / 3, 2 / 3, 3.0, -1.0),
-                      _affine(2 / 3, 1.0, 3.0, -2.0)),
-            lebesgue_circle_invariant=True,
-        ),
-        "g3branch": System(
-            name="g3branch", space=CIRCLE, dim=1,
-            step_many=_wrap_1d(_g_step),
-            log_slope_many=_slope_1d(_g_log_slope),
-            breakpoints=(0.0, 0.5, 0.75),
-            h_top=log3, max_log_slope=math.log(4.0),
-            branches=(_affine(0.0, 0.5, 2.0, 0.0),
-                      _affine(0.5, 0.75, 4.0, -2.0),
-                      _affine(0.75, 1.0, 4.0, -3.0)),
-            lebesgue_circle_invariant=True,
-        ),
-        "pomeau-manneville": System(
-            name="pomeau-manneville", space=INTERVAL, dim=1,
-            step_many=_wrap_1d(_pm_step),
-            log_slope_many=_slope_1d(_pm_log_slope),
-            breakpoints=(0.5,),
-            h_top=math.log(2.0), max_log_slope=math.log(4.0),
-            branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT),
-                      _affine(0.5, 1.0, 2.0, -1.0)),
-        ),
-        "sqrtmap": System(
-            name="sqrtmap", space=INTERVAL, dim=1,
-            step_many=_wrap_1d(_sqrt_step),
-            log_slope_many=_slope_1d(_sqrt_log_slope),
-            breakpoints=(0.5,),
-            h_top=math.log(2.0), max_log_slope=None,
-            branches=(Branch(0.0, 0.5, lambda x: math.sqrt(2.0 * x), _UNIT),
-                      _affine(0.5, 1.0, 2.0, -1.0)),
-        ),
-        "staircase": System(
-            name="staircase", space=INTERVAL, dim=1,
-            step_many=_wrap_1d(_staircase_step),
-            log_slope_many=_slope_1d(_staircase_log_slope),
-            breakpoints=(),
-            h_top=None, max_log_slope=math.log(2 * STAIRCASE_LEVEL_CAP + 1),
-            branches=_staircase_branches(),
-        ),
-        "identity": System(
-            name="identity", space=CIRCLE, dim=1,
-            step_many=_wrap_1d(lambda x: x),
-            log_slope_many=_slope_1d(lambda x: np.zeros_like(x)),
-            h_top=0.0, max_log_slope=0.0,
-            branches=(Branch(0.0, 1.0, lambda x: x, _UNIT, 1.0),),
-            lebesgue_circle_invariant=True,
-        ),
-    }
-    return systems
+    systems = (
+        System("tripling", CIRCLE, 1,
+               branches=(_affine(0.0, 1 / 3, 3.0, 0.0),
+                         _affine(1 / 3, 2 / 3, 3.0, -1.0),
+                         _affine(2 / 3, 1.0, 3.0, -2.0))),
+        System("g3branch", CIRCLE, 1,
+               branches=(_affine(0.0, 0.5, 2.0, 0.0),
+                         _affine(0.5, 0.75, 4.0, -2.0),
+                         _affine(0.75, 1.0, 4.0, -3.0))),
+        System("pomeau-manneville", INTERVAL, 1,
+               branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT,
+                                log_slope=lambda x: -2.0 * np.log1p(-x)),
+                         _affine(0.5, 1.0, 2.0, -1.0))),
+        System("sqrtmap", INTERVAL, 1,
+               branches=(Branch(0.0, 0.5, lambda x: _sqrt(2.0 * x), _UNIT,
+                                log_slope=lambda x: -0.5 * np.log(2.0 * x)),
+                         _affine(0.5, 1.0, 2.0, -1.0))),
+        System("staircase", INTERVAL, 1, branches=_staircase_branches()),
+        System("identity", CIRCLE, 1,
+               branches=(Branch(0.0, 1.0, lambda x: x, _UNIT, 1.0),)),
+    )
+    return {sys.name: sys for sys in systems}
 
 
 _CATALOGUE = _catalogue()
@@ -392,17 +395,12 @@ def get_system(spec_id: str) -> System:
         d = len(rows)
         if any(len(r) != d for r in rows):
             raise ValueError(f"non-square toral matrix in {spec_id!r}")
-        toral = System(name=spec_id, space=TORUS, dim=d,
-                       step_many=_toral_step(rows), matrix=rows)
-        top = float(sum(math.log(m) * mult
-                        for m, mult in toral_eigen_data(toral) if m > 1.0))
-        return replace(toral, h_top=top)
+        return System(name=spec_id, space=TORUS, dim=d, matrix=rows)
     if spec_id.startswith("fullshift:"):
         k = int(spec_id.split(":", 1)[1])
         if k < 2:
             raise ValueError("full shift needs at least 2 symbols")
-        return System(name=spec_id, space=SYMBOLIC, dim=1,
-                      alphabet=k, h_top=math.log(k))
+        return System(name=spec_id, space=SYMBOLIC, dim=1, alphabet=k)
     if spec_id.startswith("iterate:"):
         base_id, r = spec_id[len("iterate:"):].rsplit(":", 1)
         return iterate_system(get_system(base_id), int(r))
@@ -410,51 +408,57 @@ def get_system(spec_id: str) -> System:
 
 
 def iterate_system(sys: System, r: int) -> System:
-    """The map f^r, sharing f's phase space; it records f as `base` and r
-    as `power` and keeps f's Lebesgue invariance."""
+    """The map f^r, sharing f's phase space.  When every branch of f is
+    affine and increasing onto the circle, f^r is the composed table of its
+    k^r branches; otherwise it records f as `base` and r as `power`."""
     if r < 1:
         raise ValueError("iterate count must be >= 1")
     if sys.space == SYMBOLIC:
         raise ValueError("iterate shifts by composing evaluate calls instead")
-
-    def step(c):
-        for _ in range(r):
-            c = sys.step_many(c)
-        return c
-
-    log_slope = None
-    if sys.log_slope_many is not None:
-        def log_slope(c):  # noqa: F811 - deliberate rebind
-            c = np.atleast_2d(np.asarray(c, dtype=float))
-            total = np.zeros(c.shape[0])
-            cur = c
-            for _ in range(r):
-                total += sys.log_slope_many(cur)
-                cur = sys.step_many(cur)
-            return total
-
+    name = f"{sys.name}^{r}"
+    if full_branch_slopes(sys) is not None \
+            and all(br.slope > 0 for br in sys.branches):
+        size = len(sys.branches) ** r
+        if size > MAX_ITERATE_BRANCHES:
+            raise ValueError(f"{name} would have {size} composed branches")
+        table = sys.branches
+        for _ in range(r - 1):
+            table = _compose(sys.branches, table)
+        return System(name, sys.space, sys.dim, horizon=sys.horizon,
+                      branches=table)
     matrix = None
     if sys.matrix is not None:
         matrix = tuple(tuple(int(v) for v in row) for row in
                        np.linalg.matrix_power(np.asarray(sys.matrix, dtype=int), r))
-    return System(
-        name=f"{sys.name}^{r}", space=sys.space, dim=sys.dim,
-        step_many=step, log_slope_many=log_slope,
-        breakpoints=sys.breakpoints, matrix=matrix,
-        h_top=None if sys.h_top is None else r * sys.h_top,
-        alphabet=sys.alphabet, horizon=sys.horizon,
-        max_log_slope=None if sys.max_log_slope is None else r * sys.max_log_slope,
-        base=sys, power=r,
-        lebesgue_circle_invariant=sys.lebesgue_circle_invariant,
-    )
+    return System(name, sys.space, sys.dim, matrix=matrix,
+                  horizon=sys.horizon, base=sys, power=r)
 
 
-def root_system(sys: System) -> tuple[System, int]:
-    """(g, r) with `sys` = g^r and g no iterate; nested iterates multiply."""
-    r = 1
-    while sys.base is not None:
-        sys, r = sys.base, r * sys.power
-    return sys, r
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The table of `then` applied after `first`, for a circle map.  Each
+    branch a of `first` is affine and increasing onto the unit domain, so
+    it maps about [a.lo + b.lo / a.slope, a.lo + b.hi / a.slope] onto b's
+    domain; there the composed branch runs a's fn, then b's, with slope
+    a.slope * b.slope."""
+    out = []
+    for a in first:
+        los = [a.lo] + [_first_landing(a, b.lo) for b in then[1:]]
+        for lo, hi, b in zip(los, los[1:] + [a.hi], then):
+            out.append(Branch(lo, hi, lambda x, f=a.fn, g=b.fn: g(f(x)),
+                              _UNIT, a.slope * b.slope))
+    return tuple(out)
+
+
+def _first_landing(a: Branch, y: float) -> float:
+    """The least float x that branch a steps to y or beyond, as the rounded
+    step does: a composed table then splits exactly where one step after
+    another looks its branches up."""
+    x = a.lo + y / a.slope
+    while a.fn(x) % 1.0 < y:
+        x = math.nextafter(x, math.inf)
+    while a.fn(below := math.nextafter(x, -math.inf)) % 1.0 >= y:
+        x = below
+    return x
 
 
 def catalogue_ids() -> list[str]:
@@ -479,17 +483,13 @@ def monotone_branches(sys: System, lo: float, hi: float) -> tuple:
                  bisect_left(table, hi, key=_BRANCH_LO)]
 
 
-def branch_index(sys: System, c: float) -> int:
-    """Index in `sys`'s table of the branch that holds c."""
-    return bisect_right(sys.branches, c, key=_BRANCH_LO) - 1
-
-
 def full_branch_slopes(sys: System) -> tuple | None:
-    """|slope| of each branch when `sys` is a root circle map whose every
-    branch is affine onto the unit domain, else None."""
-    if sys.space != CIRCLE or sys.base is not None or not sys.branches:
-        return None
-    if any(br.slope is None or br.canonical != _UNIT for br in sys.branches):
+    """|slope| of each branch when `sys` is a circle map whose every branch
+    is affine onto the unit domain, else None.  Such a map preserves
+    Lebesgue measure: its branches partition the circle, so the sum of
+    1/|slope| is 1."""
+    if sys.space != CIRCLE or not sys.branches or any(
+            br.slope is None or br.canonical != _UNIT for br in sys.branches):
         return None
     return tuple(abs(br.slope) for br in sys.branches)
 
@@ -573,6 +573,9 @@ def birkhoff_sums(pot: Potential, sys: System, x: Point,
         return [pot.c * n for n in n_values]
     if sys.space == SYMBOLIC:
         raise ValueError("non-constant potentials unsupported on shift spaces")
-    orb = orbit_coords(sys, np.asarray([x.coords]), max(n_values))[0]
+    n = max(n_values)
+    orb = (np.asarray(point_orbit(sys, x.coords[0], n))[:, None]
+           if sys.step is not None
+           else orbit_coords(sys, np.asarray([x.coords]), n)[0])
     phi = pot.values(sys, orb)
     return [float(np.sum(phi[:n])) for n in n_values]

@@ -10,15 +10,14 @@ Bowen-ball backend and raises ValueError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
-                   branch_index, evaluate, orbit_coords, root_system,
+                   evaluate, full_branch_slopes, point_orbit,
                    toral_eigen_data)
 from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
                      pinned_symbols)
@@ -80,11 +79,12 @@ def measure_ids() -> list[str]:
 # ---------------------------------------------------------------------------
 
 def certified_invariant(sys: System, mu: Measure) -> bool:
-    """(system, measure) pairs known to be invariant; the systems flagged
-    `lebesgue_circle_invariant` are checked by the preimage-length test (see
-    the measure test suite)."""
+    """(system, measure) pairs known to be invariant.  A circle map whose
+    branches are all affine onto the circle preserves Lebesgue measure (see
+    `maps.full_branch_slopes`; the measure test suite checks preimage
+    lengths)."""
     if mu.variant == "lebesgue-circle":
-        return sys.lebesgue_circle_invariant
+        return full_branch_slopes(sys) is not None
     if mu.variant == "lebesgue-torus":
         return sys.matrix is not None
     if mu.variant == "bernoulli":
@@ -168,11 +168,11 @@ def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
     """`bowen_ball_measure` for each n of a window.
 
     A Lebesgue Bowen ball on the circle is an arc, measured from one orbit
-    of x.  Every circle map is f = g^r (r = 1 for a catalogue map) for a map
-    g with full affine branches of positive slope, so g(c + t) - g(c) on the
-    lift is increasing and piecewise linear in t.  Each side's extent starts
-    at eps at time n - 1 and is pulled back exactly through g's branches
-    along x's orbit, capped at eps after every step of f.  Above
+    of x.  Every Lebesgue-invariant circle map f has full affine branches
+    of positive slope (an iterate's composed table too), so f(c + t) - f(c)
+    on the lift is increasing and piecewise linear in t.  Each side's
+    extent starts at eps at time n - 1 and is pulled back exactly through
+    f's branches along x's orbit, capped at eps after every step.  Above
     eps = 1/(s + 1), s the largest slope of f, a ball can have several arcs
     and eps is refused; from eps = 0.5 on, the ball is the circle up to a
     null set.
@@ -181,19 +181,17 @@ def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
         return [bowen_ball_measure(sys, mu, x, n, eps) for n in n_values]
     if eps >= 0.5:
         return [1.0] * len(n_values)
-    root, r = root_system(sys)
-    table = root.branches
-    bound = 1.0 / (max(br.slope for br in table) ** r + 1.0)
+    table = sys.branches
+    bound = 1.0 / (max(full_branch_slopes(sys)) + 1.0)
     if eps > bound:
         raise ValueError(f"eps {eps} exceeds 1/(s + 1) = {bound:.6g} on "
                          f"{sys.name!r}: its Bowen balls may have several "
                          f"arcs")
-    orb = orbit_coords(root, np.asarray([x.coords]),
-                       r * (max(n_values) - 1) + 1)[0, :, 0].tolist()
-    at = [branch_index(root, c) for c in orb]
+    orb = point_orbit(sys, x.coords[0], max(n_values))
+    at = [bisect_right(sys.cuts, c) for c in orb]
 
     def pull(k, e, side):
-        # the t >= 0 with |g(c + side*t) - g(c)| = e, c = orb[k]; each
+        # the t >= 0 with |f(c + side*t) - f(c)| = e, c = orb[k]; each
         # branch maps onto the circle and e <= eps < 1/2, so t crosses at
         # most one branch end
         br = table[at[k]]
@@ -208,10 +206,8 @@ def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
         total = 0.0
         for side in (-1, 1):
             e = eps
-            for k in range(r * (n - 1) - 1, -1, -1):
-                e = pull(k, e, side)
-                if k % r == 0:
-                    e = min(e, eps)
+            for k in range(n - 2, -1, -1):
+                e = min(pull(k, e, side), eps)
             total += e
         masses.append(total)
     return masses

@@ -251,9 +251,10 @@ def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
     """[total variation of f^(n-1) over [lo, hi]] for each n of `n_values`,
     counted with multiplicity, from one branch walk to max(n_values).
 
-    An iterate is computed through its base system.  On a table whose
-    branches are all affine with |slope| s, |(f^(n-1))'| = s^(n-1)
-    everywhere, so the variation is (hi - lo) * s^(n-1) in closed form.
+    An iterate with no table of its own is computed through its base
+    system.  On a table whose branches are all affine with |slope| s,
+    |(f^(n-1))'| = s^(n-1) everywhere, so the variation is
+    (hi - lo) * s^(n-1) in closed form.
     Any other table is walked: the interval is pushed forward through the
     monotone branches, branches covered in full contribute a closed-form
     growth factor, and only the two end fragments are tracked, so the cost

@@ -159,6 +159,18 @@ def test_pressure_exponent_is_bowens_formula(sys_id, slopes, t):
     assert crit.value == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("pot_id, want", [
+    ("zero", 2.0 * LOG3),
+    ("geometric:0.5", 2.0 * math.log(2.0 ** -0.5 + 2.0 * 4.0 ** -0.5))])
+def test_iterate_pressure_is_bowens_formula(pot_id, want):
+    # g^2 of g3branch is a table of its own, 9 affine branches onto the
+    # circle, so its whole-circle pressure is Bowen's formula for g, doubled
+    crit = critical_exponent(get_system("iterate:g3branch:2"), whole_circle(),
+                             get_potential(pot_id), r=0.05,
+                             s_grid=(-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+    assert abs(crit.value - want) <= 1e-9
+
+
 def test_translocal_pressure_exponent_tracks_omega():
     sys = get_system("tripling")
     crit = critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, omega=0.7,

@@ -181,6 +181,29 @@ potential = {potential}
     assert float(row["rel_error"]) <= 1e-9
 
 
+def test_pressure_oracle_covers_an_iterate(tmp_path, capsys):
+    # g3branch^2 is a table of 9 affine branches onto the circle: its
+    # pressure run has Bowen's formula as its oracle, and meets it
+    cfg = write_config(tmp_path / "pressure.ini", """
+[experiment]
+kind = pressure
+system = iterate:g3branch:2
+potential = geometric:0.5
+""")
+    csv_path = tmp_path / "pressure.csv"
+    json_path = tmp_path / "pressure.json"
+    assert run_cli(["run", cfg, "--csv", str(csv_path),
+                    "--json", str(json_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    want = 2.0 * math.log(2.0 ** -0.5 + 2.0 * 4.0 ** -0.5)
+    assert float(row["expected"]) == pytest.approx(want, rel=1e-12)
+    summary = json.loads(json_path.read_text())
+    assert summary["passed"] is True
+    assert summary["max_rel_error"] is not None
+    assert summary["max_rel_error"] <= 1e-9
+
+
 def test_lyapunov_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "lyap.ini", """
 [experiment]

@@ -7,6 +7,7 @@ import pytest
 
 from translocal import separated
 from translocal import entropy
+from translocal.errors import SingularOrbitError
 from translocal.entropy import (DEFAULT_SCHEDULE, RateEstimate, Schedule,
                                 cell_log_count, cell_log_counts, growth_rate,
                                 growth_rates, lyapunov_exponent,
@@ -119,6 +120,15 @@ def test_lyapunov_is_the_tail_of_running_averages():
     averages = [log_derivative_sum(sys, x, k) / k for k in range(1, 31)]
     tail = averages[14:]
     assert lyapunov_exponent(sys, x, 30) == (max(tail), min(tail))
+
+
+@pytest.mark.parametrize("x", [0.5, 0.25, 0.125])
+def test_staircase_lyapunov_raises_at_a_band_edge(x):
+    # 2^-m is a fixed point where band m + 1 (slope 2m + 3) meets band m
+    # (slope 2m + 1): f has no derivative there, as g3branch has none at 1/2
+    with pytest.raises(SingularOrbitError,
+                       match=f"hits branch endpoint {x}"):
+        lyapunov_exponent(get_system("staircase"), interval(x), 50)
 
 
 def test_toral_translocal_closed_form():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from translocal import maps
+from translocal import maps, spaces
 from translocal.errors import SingularOrbitError
 from translocal.maps import (Potential, canonical_growth, evaluate,
                              get_potential, get_system, iterate_system,
@@ -90,6 +90,27 @@ def test_iterate_matches_composition():
     assert sys2.h_top == pytest.approx(2 * LOG3)
 
 
+def test_iterates_of_full_branch_maps_are_composed_tables():
+    # k^r affine branches, slopes multiplied; too many are refused up front
+    g2 = get_system("iterate:g3branch:2")
+    assert g2.base is None and len(g2.branches) == 9
+    assert sorted({br.slope for br in g2.branches}) == [4.0, 8.0, 16.0]
+    assert get_system("iterate:pomeau-manneville:2").branches == ()
+    with pytest.raises(ValueError, match="19683 composed branches"):
+        get_system("iterate:tripling:9")
+
+
+def test_stepped_iterate_log_slopes_take_flat_and_column_points():
+    # log|(f^2)'| at each point, whether the points come flat or as (N, 1)
+    sys, base = get_system("iterate:pomeau-manneville:2"), \
+        get_system("pomeau-manneville")
+    xs = np.asarray([0.1, 0.2, 0.3])
+    want = base.log_slope_many(xs) + base.log_slope_many(
+        base.step_many(xs.reshape(-1, 1)))
+    assert sys.log_slope_many(xs).tolist() == want.tolist()
+    assert sys.log_slope_many(xs.reshape(-1, 1)).tolist() == want.tolist()
+
+
 def test_iterate_ids_of_parameterised_systems():
     cat2 = get_system("iterate:toral:2,1;1,1:2")
     assert cat2.matrix == ((5, 3), (3, 2))
@@ -121,14 +142,35 @@ def test_whole_orbit_log_slopes_are_the_per_point_ones(sys_id):
         assert whole.tobytes() == single.tobytes()
 
 
+def _kinks(sys):
+    """The branch ends of `sys`'s table where the one-sided |slopes|
+    differ, read pairwise off neighbouring branches (the last and first
+    meet at 0 on the circle)."""
+    def one_sided(br, end):
+        if br.slope is not None:
+            return abs(br.slope)
+        with np.errstate(divide="ignore"):
+            return math.exp(float(br.log_slope(end)))
+
+    table = sys.branches
+    pairs = list(zip(table, table[1:]))
+    if sys.space == "circle":
+        pairs.append((table[-1], table[0]))
+    return [right.lo for left, right in pairs
+            if one_sided(left, left.hi) != one_sided(right, right.lo)]
+
+
 def _per_step_log_derivative_sums(sys, x, n):
     """One `evaluate` and one log-slope call per orbit point, raising at
-    the first singular branch endpoint."""
+    the first orbit point within 1e-12 of a kink."""
+    near = spaces.circle_dist if sys.space == "circle" \
+        else lambda a, b: abs(a - b)
+    kinks = _kinks(sys)
     sums, total, cur = [], 0.0, x
     for _ in range(n):
         c = cur.coords[0]
-        for b in sys.breakpoints:
-            if abs(c - b) < 1e-12 and not maps._differentiable_at(sys, b):
+        for b in kinks:
+            if near(c, b) < 1e-12:
                 raise SingularOrbitError(
                     f"orbit of {x.coords} hits branch endpoint {b}")
         total += float(sys.log_slope_many(np.asarray([c]))[0])
@@ -221,11 +263,12 @@ def test_birkhoff_sums_step_one_orbit():
     base = get_system("g3branch")
     calls = []
 
-    def step_many(coords):
-        calls.append(len(coords))
-        return base.step_many(coords)
+    def step(c):
+        calls.append(c)
+        return base.step(c)
 
-    sys = dataclasses.replace(base, step_many=step_many)
+    sys = dataclasses.replace(base)
+    object.__setattr__(sys, "step", step)
     pot = get_potential("geometric:0.7")
     n_values = (1, 3, 8, 9, 14)
     sums = maps.birkhoff_sums(pot, sys, circle(0.3141), n_values)

@@ -15,7 +15,8 @@ import translocal
 from translocal import measures
 from translocal.entropy import DEFAULT_SCHEDULE
 from translocal.maps import (ZERO_POTENTIAL, birkhoff_sum, catalogue_ids,
-                             get_potential, get_system, iterate_system)
+                             full_branch_slopes, get_potential, get_system,
+                             iterate_system)
 from translocal.measures import (ball_measure, bowen_ball_measure,
                                  brin_katok, certified_invariant, get_measure,
                                  local_pressure, translocal_local_pressure)
@@ -83,10 +84,10 @@ def test_lebesgue_invariance_of_whitelisted_maps():
     xs = rng.random(200_000).reshape(-1, 1)
     catalogue = [get_system(sys_id) for sys_id in catalogue_ids()
                  if "<" not in sys_id]
-    flagged = [sys for sys in catalogue if sys.lebesgue_circle_invariant]
+    flagged = [sys for sys in catalogue if full_branch_slopes(sys)]
     assert {sys.name for sys in flagged} >= {"tripling", "g3branch"}
     for sys_id in ("sqrtmap", "pomeau-manneville", "staircase"):
-        assert not get_system(sys_id).lebesgue_circle_invariant
+        assert full_branch_slopes(get_system(sys_id)) is None
     for sys in flagged:
         ys = sys.step_many(xs)[:, 0]
         for a, b in ((0.1, 0.35), (0.6, 0.9)):
@@ -213,13 +214,14 @@ def test_brin_katok_steps_the_orbit_of_x_only():
     base = get_system("tripling")
     calls = []
 
-    def step_many(coords):
-        calls.append(len(coords))
-        return base.step_many(coords)
+    def step(c):
+        calls.append(c)
+        return base.step(c)
 
-    sys = dataclasses.replace(base, step_many=step_many)
+    sys = dataclasses.replace(base)
+    object.__setattr__(sys, "step", step)
     brin_katok(sys, get_measure("lebesgue-circle"), circle(0.3))
-    assert calls == [1] * (max(DEFAULT_SCHEDULE.n_values) - 1)
+    assert len(calls) == max(DEFAULT_SCHEDULE.n_values) - 1
 
 
 def test_bowen_ball_measure_bernoulli_cylinder():

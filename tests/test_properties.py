@@ -2,8 +2,10 @@
 over an n-set, and of its uniform-slope closed form, of the closed-form
 toral and full-shift cells, of
 cell counts along an eps ladder, of the closed-form window slope, of
-coded-shift language counts, of the kept coded-language walk, and of
-Bowen-ball masses."""
+coded-shift language counts, of the kept coded-language walk, of
+Bowen-ball masses, and of the branch table as the one definition of a 1D
+map (its steps, composed iterates and derived attributes)."""
+import bisect
 import functools
 import itertools
 import math
@@ -17,7 +19,8 @@ from translocal import symbolic
 from translocal.entropy import (_real_eigenbasis, _window, _window_residual,
                                 _window_slope, cell_log_count,
                                 cell_log_counts)
-from translocal.maps import (canonical_growth, catalogue_ids, get_system,
+from translocal.maps import (canonical_growth, catalogue_ids,
+                             full_branch_slopes, get_system,
                              monotone_branches)
 from translocal.measures import bowen_ball_measure, get_measure
 from translocal.separated import (exact_variation, exact_variations,
@@ -157,8 +160,10 @@ def test_one_walk_gives_every_n_bit_for_bit(sys_id, lo, width, ns):
 def test_uniform_slope_is_derived_from_the_branch_slopes():
     assert get_system("tripling").uniform_slope == 3.0
     assert get_system("identity").uniform_slope == 1.0
-    # an iterate has no table of its own; tori and shifts have none at all
-    for sys_id in ("iterate:tripling:2", "cat", "fullshift:2"):
+    # an iterate of a full-branch map is a composed table of its own
+    assert get_system("iterate:tripling:2").uniform_slope == 9.0
+    # a lazy iterate has no table; tori and shifts have none at all
+    for sys_id in ("iterate:sqrtmap:2", "cat", "fullshift:2"):
         assert get_system(sys_id).uniform_slope is None
 
 
@@ -333,3 +338,70 @@ def test_tripling_bowen_ball_mass_is_the_pulled_back_arc(sys_id, x, n, scale):
                               eps)
     assert mass == pytest.approx(2.0 * eps * float(s) ** -(n - 1), rel=1e-9,
                                  abs=0)
+
+
+# The table is the map: its steps, slopes and flags are read off it.
+LOG2, LOG3, LOG4 = math.log(2.0), math.log(3.0), math.log(4.0)
+COMPOSED = {"iterate:tripling:2": ("tripling", 2),
+            "iterate:g3branch:2": ("g3branch", 2),
+            "iterate:iterate:tripling:2:3": ("tripling", 6)}
+TABLE_IDS = ONE_D_IDS + list(COMPOSED)
+# (h_top, Lebesgue-invariant, uniform_slope, max_log_slope), written out;
+# the catalogue's are the values each map once declared by hand
+DECLARED = {
+    "tripling": (LOG3, True, 3.0, LOG3),
+    "g3branch": (LOG3, True, None, LOG4),
+    "pomeau-manneville": (LOG2, False, None, LOG4),
+    "sqrtmap": (LOG2, False, None, None),
+    "staircase": (None, False, None, math.log(25.0)),
+    "identity": (0.0, True, 1.0, 0.0),
+    "iterate:tripling:2": (2 * LOG3, True, 9.0, 2 * LOG3),
+    "iterate:g3branch:2": (2 * LOG3, True, None, 2 * LOG4),
+    "iterate:iterate:tripling:2:3": (3 * (2 * LOG3), True, 729.0,
+                                     3 * (2 * LOG3)),
+}
+
+
+def _step_points(sys):
+    """2,000 random points, every branch end and its float neighbours, all
+    inside the phase space."""
+    ends = {e for br in sys.branches for e in (br.lo, br.hi)}
+    near = {math.nextafter(e, d) for e in ends for d in (-1.0, 2.0)}
+    xs = np.random.default_rng(41).random(2000).tolist() + sorted(ends | near)
+    top = 1.0 if sys.space == INTERVAL else math.nextafter(1.0, 0.0)
+    return np.asarray([x for x in xs if 0.0 <= x <= top])
+
+
+@pytest.mark.parametrize("sys_id", TABLE_IDS)
+def test_scalar_vector_and_branch_steps_agree_bit_for_bit(sys_id):
+    sys = get_system(sys_id)
+    xs = _step_points(sys)
+    scalar = np.asarray([sys.step(x) for x in xs.tolist()])
+    vector = sys.step_many(xs.reshape(-1, 1))[:, 0]
+    held = [sys.branches[bisect.bisect_right(sys.cuts, x)].fn(x)
+            for x in xs.tolist()]
+    by_fn = np.asarray(held) % 1.0 if sys.space == CIRCLE \
+        else np.clip(held, 0.0, 1.0)
+    assert scalar.tobytes() == vector.tobytes()
+    assert scalar.tobytes() == by_fn.tobytes()
+
+
+@pytest.mark.parametrize("sys_id", list(COMPOSED))
+def test_composed_iterate_step_is_r_root_steps(sys_id):
+    root_id, r = COMPOSED[sys_id]
+    sys, root = get_system(sys_id), get_system(root_id)
+    assert len(sys.branches) == len(root.branches) ** r
+    xs = _step_points(sys).tolist()
+    walked = xs
+    for _ in range(r):
+        walked = [root.step(x) for x in walked]
+    assert [sys.step(x) for x in xs] == walked
+    assert np.asarray(walked).tobytes() \
+        == sys.step_many(np.asarray(xs).reshape(-1, 1))[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("sys_id", TABLE_IDS)
+def test_table_derived_attributes_are_the_declared_ones(sys_id):
+    sys = get_system(sys_id)
+    assert (sys.h_top, full_branch_slopes(sys) is not None,
+            sys.uniform_slope, sys.max_log_slope) == DECLARED[sys_id]
