@@ -92,6 +92,18 @@ def load_config(path: str):
 # Expected-value registry (closed forms computed independently)
 # ---------------------------------------------------------------------------
 
+def default_s_grid(sys_obj, pot) -> tuple:
+    """The s-grid of a `pressure` run that sets none: -0.5..2.0 in steps of
+    0.5, and one point 0.5 past h_top + c where that bound on the pressure
+    under `zero` or `constant:c` reaches 2.0, so that the root is
+    bracketed."""
+    grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    if sys_obj.h_top is None or pot.kind not in ("zero", "constant"):
+        return grid
+    top = sys_obj.h_top + pot.c
+    return grid + (top + 0.5,) if top >= grid[-1] else grid
+
+
 def expected_translocal(sys_obj, point, omega):
     name = sys_obj.name
     if sys_obj.uniform_slope is not None:
@@ -288,8 +300,8 @@ def run_experiment(cfg):
     elif kind == "pressure":
         region = pressure.whole_circle()
         r = exp.getfloat("radius", fallback=0.05)
-        grid = tuple(float(v) for v in exp.get(
-            "s_grid", "-0.5,0,0.5,1.0,1.5,2.0").split(","))
+        grid = (tuple(float(v) for v in exp["s_grid"].split(","))
+                if "s_grid" in exp else default_s_grid(sys_obj, pot))
         crit = pressure.critical_exponent(sys_obj, region, pot, r=r,
                                           s_grid=grid)
         emit("whole-space", None, crit.value, crit.value,

@@ -26,8 +26,6 @@ from itertools import repeat
 from operator import mul, sub
 from typing import NamedTuple
 
-import numpy as np
-
 from . import separated
 from .maps import System, log_derivative_sums, toral_eigen_data
 from .separated import separation_prefix_length
@@ -258,6 +256,7 @@ def _log_counts_1d(tv: float, whole: bool, epsilons) -> list[float]:
 
 def _real_eigenbasis(matrix):
     """(modulus, sup-normalized real direction) pairs, expanding first."""
+    import numpy as np
     a = np.asarray(matrix, dtype=float)
     vals, vecs = np.linalg.eig(a)
     out = []
@@ -289,6 +288,7 @@ def _toral_rows(sys: System, cells, epsilons) -> list[list]:
     Contracting directions stop contributing separated points once the ball
     outruns eps.
     """
+    import numpy as np
     a = np.asarray(sys.matrix, dtype=float)
     expanding = [vec for modulus, vec in _real_eigenbasis(sys.matrix)
                  if modulus > 1.0 + 1e-12]

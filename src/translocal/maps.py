@@ -3,6 +3,10 @@
 Every system evaluates vectorized on coordinate arrays of shape (N, d).  A
 1D map is its monotone branch table (see `Branch`) and nothing else: its
 steps, log|f'|, kinks, `h_top` and `max_log_slope` are read off the table.
+Building the catalogue and every scalar path of a 1D map (the step, orbits,
+derivative and Birkhoff sums) use floats only; numpy is imported inside the
+functions that build or read arrays, so a process that takes only scalar
+paths never loads it.
 Branch ends are left-closed: an end belongs to the branch starting there.
 An iterate of a map whose branches are all affine and increasing onto the
 circle is a composed table of its own; any other iterate, whose table would
@@ -14,9 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (HorizonExceededError, SingularOrbitError,
                      SpaceMismatchError)
@@ -26,6 +28,9 @@ DEFAULT_HORIZON = 100_000
 STAIRCASE_LEVEL_CAP = 12
 # a composed iterate table holds k^r branches; larger ones are refused
 MAX_ITERATE_BRANCHES = 10_000
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _derived(default=None):
@@ -76,6 +81,7 @@ class System:
         elif self.base is not None:
             rules = _iterate_rules(self.base, self.power)
         elif self.matrix is not None:
+            import numpy as np
             a = np.asarray(self.matrix, dtype=float)
             rules = {"step_many": lambda c: (c @ a.T) % 1.0,
                      "h_top": float(sum(math.log(m) * mult
@@ -95,6 +101,7 @@ def evaluate(sys: System, x: Point) -> Point:
         return Point(SYMBOLIC, word=x.word[1:])
     if sys.step is not None:
         return Point(sys.space, (sys.step(x.coords[0]),))
+    import numpy as np
     out = sys.step_many(np.asarray([x.coords], dtype=float))[0]
     return Point(sys.space, tuple(float(v) for v in out))
 
@@ -115,6 +122,7 @@ def orbit_coords(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
     """Stacked orbit segments: result[:, j] = f^j(coords), shape (N, n, d)."""
     if n > sys.horizon:
         raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    import numpy as np
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     out = np.empty((coords.shape[0], n, coords.shape[1]))
     cur = coords
@@ -162,19 +170,18 @@ def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
     sums = []
     total = 0.0
     c = x.coords[0]
-    with np.errstate(divide="ignore"):
-        for _ in range(n):
-            i = bisect_right(cuts, c)
-            br = table[i]
-            end = (br.lo if kinks[i][0] and c - br.lo < 1e-12 else
-                   br.hi if kinks[i][1] and br.hi - c < 1e-12 else None)
-            if end is not None:
-                raise SingularOrbitError(
-                    f"orbit of {x.coords} hits branch endpoint {end}")
-            v = logs[i]
-            total += v if v is not None else float(br.log_slope(c))
-            sums.append(total)
-            c = step(c)
+    for _ in range(n):
+        i = bisect_right(cuts, c)
+        br = table[i]
+        end = (br.lo if kinks[i][0] and c - br.lo < 1e-12 else
+               br.hi if kinks[i][1] and br.hi - c < 1e-12 else None)
+        if end is not None:
+            raise SingularOrbitError(
+                f"orbit of {x.coords} hits branch endpoint {end}")
+        v = logs[i]
+        total += v if v is not None else float(br.log_slope(c))
+        sums.append(total)
+        c = step(c)
     return sums
 
 
@@ -182,6 +189,7 @@ def toral_eigen_data(sys: System) -> list[tuple[float, int]]:
     """Eigenvalue moduli with algebraic multiplicities, descending."""
     if sys.matrix is None:
         raise ValueError(f"system {sys.name!r} is not toral")
+    import numpy as np
     a = np.asarray(sys.matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("toral matrix must be square")
@@ -211,8 +219,9 @@ def toral_eigen_data(sys: System) -> list[tuple[float, int]]:
 class Branch:
     """One monotone branch: `fn` maps [lo, hi] onto the canonical domain,
     on a float or elementwise on an array.  `slope` is fn's constant
-    derivative when fn is affine; a curved branch has slope None and gives
-    log|fn'| as `log_slope`, monotone on [lo, hi]."""
+    derivative when fn is affine; a curved branch has slope None, gives
+    log|fn'| as `log_slope`, monotone on [lo, hi], and its one-sided values
+    at (lo, hi) as `end_log_slopes`."""
 
     lo: float
     hi: float
@@ -220,29 +229,26 @@ class Branch:
     canonical: tuple
     slope: float | None = None
     log_slope: Callable | None = None
+    end_log_slopes: tuple = ()
 
 
 _UNIT = ("unit",)
-
-# a branch value reduced into the space, for a float and for an array alike
-_REDUCE = {CIRCLE: (lambda y: y % 1.0,) * 2,
-           INTERVAL: (lambda y: min(max(y, 0.0), 1.0),
-                      lambda y: np.clip(y, 0.0, 1.0))}
 
 
 def _table_rules(table: tuple, space: str) -> dict:
     """Everything a 1D map's attributes derive from its branch table."""
     cuts = tuple(br.lo for br in table[1:])
     fns = [br.fn for br in table]
-    reduce, reduce_many = _REDUCE[space]
-    cut_array = np.asarray(cuts, dtype=float)
+    wraps = space == CIRCLE
 
     def step(c):
-        return reduce(fns[bisect_right(cuts, c)](c))
+        y = fns[bisect_right(cuts, c)](c)
+        return y % 1.0 if wraps else min(max(y, 0.0), 1.0)
 
     def per_branch(rules, x):
         # rules[i] applied to the points of x that branch i holds
-        at = np.searchsorted(cut_array, x, side="right")
+        import numpy as np
+        at = np.searchsorted(cuts, x, side="right")
         out = np.empty_like(x)
         for i in np.flatnonzero(np.bincount(at.ravel(), minlength=len(fns))):
             held = at == i
@@ -250,7 +256,9 @@ def _table_rules(table: tuple, space: str) -> dict:
         return out
 
     def step_many(coords):
-        return reduce_many(per_branch(fns, coords[:, 0])).reshape(-1, 1)
+        import numpy as np
+        y = per_branch(fns, coords[:, 0])
+        return (y % 1.0 if wraps else np.clip(y, 0.0, 1.0)).reshape(-1, 1)
 
     logs = tuple(None if br.slope is None else math.log(abs(br.slope))
                  for br in table)
@@ -258,16 +266,13 @@ def _table_rules(table: tuple, space: str) -> dict:
                  for br, v in zip(table, logs)]
 
     def log_slope_many(coords):
+        import numpy as np
         c = np.asarray(coords, dtype=float)
-        with np.errstate(divide="ignore"):
-            return per_branch(log_rules, c[..., 0] if c.ndim > 1 else c)
+        return per_branch(log_rules, c[..., 0] if c.ndim > 1 else c)
 
     # one-sided log|slope| at each branch's (lo, hi) ends
-    with np.errstate(divide="ignore"):
-        ends = [(v, v) if v is not None
-                else (float(br.log_slope(br.lo)), float(br.log_slope(br.hi)))
-                for br, v in zip(table, logs)]
-    wraps = space == CIRCLE
+    ends = [(v, v) if v is not None else br.end_log_slopes
+            for br, v in zip(table, logs)]
     # kink[i]: branch i's lo end, which is branch i - 1's hi end (on the
     # circle, branch 0's lo end is the last branch's hi end)
     kink = [(i > 0 or wraps) and ends[i - 1][1] != ends[i][0]
@@ -295,6 +300,7 @@ def _iterate_rules(base: System, r: int) -> dict:
                                else r * base.max_log_slope)}
     if base.step is not None:
         def log_slope_many(c):
+            import numpy as np
             c = np.asarray(c, dtype=float).reshape(-1, 1)
             total = np.zeros(c.shape[0])
             for _ in range(r):
@@ -322,7 +328,26 @@ def _affine(lo, hi, slope, intercept, canonical=_UNIT):
 
 def _sqrt(y):
     # math.sqrt keeps a float a float; both roots are correctly rounded
-    return np.sqrt(y) if isinstance(y, np.ndarray) else math.sqrt(y)
+    if isinstance(y, float):
+        return math.sqrt(y)
+    import numpy as np
+    return np.sqrt(y)
+
+
+# The curved log-slopes take numpy's log on floats and arrays alike: its
+# log and log1p round differently from math's on some inputs, and an orbit
+# must read the same bits one point at a time as in one array.  At the
+# branch ends both agree, so `end_log_slopes` are plain floats.
+
+def _pomeau_manneville_log_slope(x):
+    import numpy as np
+    return -2.0 * np.log1p(-x)
+
+
+def _sqrtmap_log_slope(x):
+    import numpy as np
+    with np.errstate(divide="ignore"):
+        return -0.5 * np.log(2.0 * x)
 
 
 def _staircase_lap_fn(base, laps, j):
@@ -360,11 +385,13 @@ def _catalogue() -> dict[str, System]:
                          _affine(0.75, 1.0, 4.0, -3.0))),
         System("pomeau-manneville", INTERVAL, 1,
                branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT,
-                                log_slope=lambda x: -2.0 * np.log1p(-x)),
+                                log_slope=_pomeau_manneville_log_slope,
+                                end_log_slopes=(0.0, 2.0 * math.log(2.0))),
                          _affine(0.5, 1.0, 2.0, -1.0))),
         System("sqrtmap", INTERVAL, 1,
                branches=(Branch(0.0, 0.5, lambda x: _sqrt(2.0 * x), _UNIT,
-                                log_slope=lambda x: -0.5 * np.log(2.0 * x)),
+                                log_slope=_sqrtmap_log_slope,
+                                end_log_slopes=(math.inf, 0.0)),
                          _affine(0.5, 1.0, 2.0, -1.0))),
         System("staircase", INTERVAL, 1, branches=_staircase_branches()),
         System("identity", CIRCLE, 1,
@@ -428,6 +455,7 @@ def iterate_system(sys: System, r: int) -> System:
                       branches=table)
     matrix = None
     if sys.matrix is not None:
+        import numpy as np
         matrix = tuple(tuple(int(v) for v in row) for row in
                        np.linalg.matrix_power(np.asarray(sys.matrix, dtype=int), r))
     return System(name, sys.space, sys.dim, matrix=matrix,
@@ -517,16 +545,14 @@ def canonical_growth(sys: System, canonical: tuple, k: int) -> float:
 
 @dataclass(frozen=True)
 class Potential:
-    """Continuous potential: zero, constant(c), geometric(t) = -t*log|f'|,
-    or a lookup table on a 1D grid (linearly interpolated)."""
+    """Continuous potential: zero, constant(c) or geometric(t) = -t*log|f'|."""
 
     kind: str = "zero"
     c: float = 0.0
     t: float = 1.0
-    table_x: tuple = ()
-    table_y: tuple = ()
 
     def values(self, sys: System, coords: np.ndarray) -> np.ndarray:
+        import numpy as np
         coords = np.asarray(coords, dtype=float)
         flat = coords[..., 0] if coords.ndim > 1 else coords
         if self.kind == "zero":
@@ -537,8 +563,20 @@ class Potential:
             if sys.log_slope_many is None:
                 raise ValueError("geometric potential needs a derivative rule")
             return -self.t * sys.log_slope_many(coords)
-        if self.kind == "table":
-            return np.interp(flat, self.table_x, self.table_y)
+        raise ValueError(f"unknown potential kind {self.kind!r}")
+
+    def value(self, sys: System, c: float) -> float:
+        """The potential at one coordinate of a 1D map with a branch table,
+        as a float: log|f'| is read off the branch that holds c."""
+        if self.kind == "zero":
+            return 0.0
+        if self.kind == "constant":
+            return self.c
+        if self.kind == "geometric":
+            i = bisect_right(sys.cuts, c)
+            v = sys.log_slopes[i]
+            return -self.t * (v if v is not None
+                              else float(sys.branches[i].log_slope(c)))
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
 
@@ -563,10 +601,12 @@ def birkhoff_sum(pot: Potential, sys: System, x: Point, n: int) -> float:
 def birkhoff_sums(pot: Potential, sys: System, x: Point,
                   n_values) -> list[float]:
     """[sum_{m<n} phi(f^m x) for n in n_values], from one orbit of length
-    max(n_values).  Each sum is np.sum over its own prefix of the orbit's
+    max(n_values).  Each sum is taken over its own prefix of the orbit's
     potential values, so it equals the sum over an orbit of length n bit
-    for bit; a running cumsum would round differently, as np.sum adds
-    pairwise."""
+    for bit.  A table map's orbit is stepped and priced one float at a
+    time and each prefix summed by the correctly rounded `math.fsum`; any
+    other map's orbit is an array, each prefix summed pairwise by
+    `np.sum`.  A running sum would round differently from either."""
     if pot.kind == "zero":
         return [0.0 for _ in n_values]
     if pot.kind == "constant":
@@ -574,6 +614,10 @@ def birkhoff_sums(pot: Potential, sys: System, x: Point,
     if sys.space == SYMBOLIC:
         raise ValueError("non-constant potentials unsupported on shift spaces")
     n = max(n_values)
+    if sys.branches:
+        phi = [pot.value(sys, c) for c in point_orbit(sys, x.coords[0], n)]
+        return [math.fsum(phi[:n]) for n in n_values]
+    import numpy as np
     orb = (np.asarray(point_orbit(sys, x.coords[0], n))[:, None]
            if sys.step is not None
            else orbit_coords(sys, np.asarray([x.coords]), n)[0])

@@ -46,9 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import measures, spaces
 from .entropy import (DEFAULT_SCHEDULE, Schedule, _require_distinct,
@@ -60,6 +58,9 @@ from .spaces import CIRCLE, INTERVAL, Ball, Point
 _QUAD_POINTS = 4096
 _LEVELS = 5            # cover levels N .. N+4
 _TIE = 1e-9            # relative margin that breaks a tie between covers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,7 @@ def _level(spacing: float, ext: np.ndarray, phi: np.ndarray, n: int,
     """Each sample cell needs spacing/extent balls, where the extent is the
     spatial footprint of one cover ball around that cell; a segment that
     needs at most one ball gets one, centred at its middle cell."""
+    import numpy as np
     counts = spacing / ext
     if float(counts.sum()) <= 1.0:
         return _Level(n, float(phi[phi.shape[0] // 2]), singular)
@@ -200,6 +202,7 @@ def _quadrature_levels(sys: System, pot: Potential, a: float, b: float,
     j < n - 1, each in step order, so level n's sums are the running sums
     after n (and n - 1) steps.
     """
+    import numpy as np
     k = _QUAD_POINTS
     xs = (np.linspace(a, b, k, endpoint=False) + (b - a) / (2 * k))
     if sys.space == CIRCLE:
@@ -230,6 +233,7 @@ class _BowenExtent(NamedTuple):
     r: float
 
     def __call__(self, lam: np.ndarray, n: int) -> np.ndarray:
+        import numpy as np
         return np.minimum(2.0 * self.r * np.exp(-lam), 1.0)
 
     def closed_log_mass(self, n: int, k: int, log_w: float,
@@ -249,6 +253,7 @@ class _MetricExtent(NamedTuple):
     omega: float
 
     def __call__(self, lam: np.ndarray, n: int) -> np.ndarray:
+        import numpy as np
         return np.full_like(lam, min(2.0 * math.exp(-self.omega * n), 1.0))
 
     def closed_log_mass(self, n: int, k: int, log_w: float,
@@ -429,6 +434,7 @@ class AuditReport:
 
 def _region_samples(region: Region, count: int):
     """`count` evenly spaced points across each ball of the region."""
+    import numpy as np
     pts = []
     for ball in region.balls:
         space = ball.center.space
@@ -461,6 +467,7 @@ def ma_wen_audit(sys: System, mu: measures.Measure, pot: Potential,
         uppers.append(up.value)
         lowers.append(lo.value)
     base = max(max(uppers), 0.1)
+    import numpy as np
     s_grid = tuple(np.linspace(min(min(lowers) - 0.5, 0.0),
                                base + 0.6, 9))
     if omega is None:

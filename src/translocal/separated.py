@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import spaces
 from .errors import SpaceMismatchError
@@ -31,6 +30,9 @@ from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Metric, Point
 
 _PAIRWISE_LIMIT = 4000
 _BLOCK = 1 << 17
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ def bowen_distance(sys: System, a: Point, b: Point, n: int,
     m = m or default_metric(sys)
     if sys.space == SYMBOLIC:
         return _symbolic_bowen(a.word, b.word, n, m.beta)
+    import numpy as np
     oa = orbit_coords(sys, np.asarray([a.coords]), n)
     ob = orbit_coords(sys, np.asarray([b.coords]), n)
     return float(_bowen_many(sys.space, oa, ob[0])[0])
@@ -118,6 +121,7 @@ def symbolic_word_count(shift_id: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _sample_coords(sample, sys: System) -> np.ndarray:
+    import numpy as np
     if isinstance(sample, Grid):
         return np.atleast_2d(sample.coords)
     coords = []
@@ -141,6 +145,7 @@ def _resolution_warning(q: SeparationQuery) -> str | None:
 
 def _bowen_many(space: str, orbits: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Bowen distance of each orbit row (N, n, d) to a reference orbit (n, d)."""
+    import numpy as np
     diff = np.abs(orbits - ref[None, :, :])
     if space in (CIRCLE, TORUS):
         diff = diff % 1.0
@@ -154,6 +159,7 @@ def _bowen_many(space: str, orbits: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def pairwise_count(sys: System, coords: np.ndarray, n: int, eps: float,
                    strict: bool = True) -> tuple[int, int]:
     """Reference greedy: candidate vs. every admitted point."""
+    import numpy as np
     orbits = orbit_coords(sys, coords, n)
     evals = coords.shape[0] * n
     admitted = np.empty((0, n, orbits.shape[2]))
@@ -180,6 +186,7 @@ def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
     overcount by one point per fold, a vanishing fraction at the default
     resolutions.
     """
+    import numpy as np
     coords = np.atleast_2d(coords)
     total = coords.shape[0]
     if total == 1:
@@ -216,6 +223,7 @@ def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
 
 def _final_images(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
     """f^(n-1) of every sample point, computed in blocks."""
+    import numpy as np
     out = np.empty_like(coords)
     for lo in range(0, coords.shape[0], _BLOCK):
         cur = coords[lo:lo + _BLOCK]

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, SpaceMismatchError
 
@@ -25,6 +24,9 @@ INTERVAL = "interval"
 SYMBOLIC = "symbolic"
 
 _EPS = 1e-9
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def point_budget() -> int:
@@ -147,6 +149,7 @@ class Grid:
 
 
 def _axis_offsets(radius: float, resolution: float) -> np.ndarray:
+    import numpy as np
     k = int(math.floor(radius / resolution + _EPS))
     return np.arange(-k, k + 1) * resolution
 
@@ -182,6 +185,7 @@ def sample_grid(ball: Ball, resolution: float, cap: int | None = None) -> Grid:
         d = len(ball.center.coords)
         offs = _axis_offsets(min(ball.radius, 0.5), resolution)
         _check_budget(len(offs) ** d, cap)
+        import numpy as np
         axes = [(ball.center.coords[i] + offs) % 1.0 for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=1)

@@ -204,6 +204,51 @@ potential = geometric:0.5
     assert summary["max_rel_error"] <= 1e-9
 
 
+@pytest.mark.parametrize("system, potential, want", [
+    ("iterate:g3branch:2", "zero", 2.0 * math.log(3.0)),
+    ("tripling", "constant:1", math.log(3.0) + 1.0),
+])
+def test_pressure_default_grid_reaches_past_h_top(tmp_path, capsys, system,
+                                                   potential, want):
+    # both pressures lie above 2.0, the end of the old default grid, where
+    # no sign change was found and the run exited 1
+    cfg = write_config(tmp_path / "pressure.ini", f"""
+[experiment]
+kind = pressure
+system = {system}
+potential = {potential}
+""")
+    csv_path = tmp_path / "pressure.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["value"]) == pytest.approx(want, rel=1e-9)
+
+
+def test_pressure_default_grid_is_kept_below_2():
+    grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    for system, potential in (("tripling", "zero"), ("g3branch", "zero"),
+                              ("iterate:g3branch:2", "geometric:0.5"),
+                              ("staircase", "zero"), ("cat", "zero")):
+        assert cli.default_s_grid(maps.get_system(system),
+                                  maps.get_potential(potential)) == grid
+    assert cli.default_s_grid(maps.get_system("iterate:g3branch:2"),
+                              maps.ZERO_POTENTIAL) \
+        == grid + (2.0 * math.log(3.0) + 0.5,)
+
+
+def test_pressure_explicit_grid_is_not_extended(tmp_path, capsys):
+    cfg = write_config(tmp_path / "pressure.ini", """
+[experiment]
+kind = pressure
+system = iterate:g3branch:2
+potential = zero
+s_grid = -0.5,0,0.5,1.0,1.5,2.0
+""")
+    assert run_cli(["run", cfg]) == 1
+    assert "no sign change" in capsys.readouterr().err
+
+
 def test_lyapunov_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "lyap.ini", """
 [experiment]

@@ -275,3 +275,53 @@ def test_birkhoff_sums_step_one_orbit():
     assert len(calls) == max(n_values) - 1
     assert sums == [maps.birkhoff_sum(pot, base, circle(0.3141), n)
                     for n in n_values]
+
+
+@pytest.mark.parametrize("sys_id", ["tripling", "g3branch",
+                                    "pomeau-manneville"])
+def test_scalar_birkhoff_sums_match_the_array_path(sys_id):
+    # a table map's sums step and price its orbit one float at a time;
+    # each term is within 1 ulp of the array path's, and each sum of n
+    # terms within n ulps (of the sum of their magnitudes) of np.sum over
+    # the array path's terms
+    sys = get_system(sys_id)
+    make = circle if sys.space == "circle" else interval
+    pot = get_potential("geometric:0.7")
+    n_values = (1, 5, 14, 40)
+    rng = np.random.default_rng(37)
+    for x0 in rng.random(8):
+        x = make(float(x0))
+        orb = maps.point_orbit(sys, x.coords[0], max(n_values))
+        scalar = [pot.value(sys, c) for c in orb]
+        array = pot.values(sys, np.asarray(orb)[:, None])
+        for a, b in zip(scalar, array):
+            assert abs(a - b) <= math.ulp(b)
+        sums = maps.birkhoff_sums(pot, sys, x, n_values)
+        assert sums == [math.fsum(scalar[:n]) for n in n_values]
+        for n, got in zip(n_values, sums):
+            bound = n * math.ulp(math.fsum(np.abs(array[:n])))
+            assert abs(got - float(np.sum(array[:n]))) <= bound
+
+
+def test_scalar_birkhoff_sums_at_the_sqrtmap_origin_are_infinite():
+    # log|f'| is +inf at the fixed point 0 of sqrtmap: each sum is an
+    # infinity of the potential's sign, with no error and no warning
+    sys = get_system("sqrtmap")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up = maps.birkhoff_sums(get_potential("geometric:-1"), sys,
+                                interval(0.0), (1, 4))
+        down = maps.birkhoff_sums(get_potential("geometric:1"), sys,
+                                  interval(0.0), (1, 4))
+    assert up == [math.inf, math.inf]
+    assert down == [-math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("sys_id", ["pomeau-manneville", "sqrtmap"])
+def test_curved_end_log_slopes_are_the_log_slope_rule_at_the_ends(sys_id):
+    # the ends are stored as floats, so that building the catalogue loads
+    # no numpy; they are the bits of the numpy rule there
+    for br in get_system(sys_id).branches:
+        if br.slope is None:
+            assert br.end_log_slopes == (float(br.log_slope(br.lo)),
+                                         float(br.log_slope(br.hi)))

@@ -58,6 +58,56 @@ def test_cli_import_loads_no_scipy():
                    env=dict(os.environ, PYTHONPATH=str(src)))
 
 
+# Calls whose paths make no array call, each checked in one fresh process
+# right after it runs: none of them may load numpy.
+NUMPY_FREE_CALLS = (
+    "import translocal.cli",
+    "entropy.translocal_entropy(get_system('tripling'), circle(0.3), 0.5)",
+    "entropy.yz_entropy_function(get_system('staircase'), interval(0.3))",
+    "entropy.restricted_entropy(get_system('iterate:tripling:2'), "
+    "Ball(circle(0.0), 0.5))",
+    "measures.brin_katok(get_system('tripling'), leb, circle(0.3))",
+    "measures.local_pressure(get_system('tripling'), leb, "
+    "get_potential('geometric:1'), circle(0.3))",
+    "symbolic.kraft_entropy([1, 2])",
+    "symbolic.coded_language_count("
+    "symbolic.get_family('codedshift:linear:1,0'), 12)",
+    "pressure.critical_exponent(get_system('g3branch'), "
+    "pressure.whole_circle(), get_potential('zero'), r=0.05)",
+)
+
+
+def _numpy_loaded_after(calls) -> list:
+    """For each call, run in order in one fresh interpreter, whether numpy
+    was loaded once it returned."""
+    code = "\n".join([
+        "import sys",
+        "import translocal.cli",
+        "from translocal import entropy, measures, pressure, symbolic",
+        "from translocal.maps import get_potential, get_system",
+        "from translocal.spaces import Ball, circle, interval",
+        "leb = measures.get_measure('lebesgue-circle')",
+        "for call in sys.argv[1:]:",
+        "    exec(call)",
+        "    print('numpy' in sys.modules)",
+    ])
+    src = Path(translocal.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code, *calls], check=True,
+                         timeout=60, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    return [line == "True" for line in out.stdout.split()]
+
+
+def test_scalar_paths_load_no_numpy():
+    loaded = _numpy_loaded_after(NUMPY_FREE_CALLS)
+    assert dict(zip(NUMPY_FREE_CALLS, loaded)) \
+        == dict.fromkeys(NUMPY_FREE_CALLS, False)
+
+
+def test_a_torus_map_loads_numpy():
+    assert _numpy_loaded_after(["get_system('cat')"]) == [True]
+
+
 def test_invariance_certificates():
     leb = get_measure("lebesgue-circle")
     assert certified_invariant(get_system("tripling"), leb)

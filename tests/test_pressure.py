@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -328,7 +329,9 @@ def test_level_weights_need_no_numpy(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"numpy used: np.{name}")
 
-    monkeypatch.setattr(pressure, "np", NoNumpy())
+    # numpy is imported inside the functions that use it, so any use of
+    # it here would reach this stand-in
+    monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
     assert pressure._best_level(table, 3, 1.1) == want
 
 
