@@ -94,13 +94,21 @@ def load_config(path: str):
 
 def default_s_grid(sys_obj, pot) -> tuple:
     """The s-grid of a `pressure` run that sets none: -0.5..2.0 in steps of
-    0.5, and one point 0.5 past h_top + c where that bound on the pressure
-    under `zero` or `constant:c` reaches 2.0, so that the root is
-    bracketed."""
+    0.5, and one point 0.5 past a bound on the pressure where that bound
+    reaches 2.0, so that the root is bracketed.  The bound is h_top + c
+    under `zero` or `constant:c`, and h_top - t * max_log_slope under
+    `geometric:t` with t < 0, where the potential is at most
+    -t * max_log_slope."""
     grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
-    if sys_obj.h_top is None or pot.kind not in ("zero", "constant"):
+    if sys_obj.h_top is None:
         return grid
-    top = sys_obj.h_top + pot.c
+    if pot.kind in ("zero", "constant"):
+        top = sys_obj.h_top + pot.c
+    elif (pot.kind == "geometric" and pot.t < 0.0
+          and sys_obj.max_log_slope is not None):
+        top = sys_obj.h_top - pot.t * sys_obj.max_log_slope
+    else:
+        return grid
     return grid + (top + 0.5,) if top >= grid[-1] else grid
 
 

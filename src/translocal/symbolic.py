@@ -3,6 +3,10 @@ counting via a determinized position automaton on int bitmasks, entropy
 from the Kraft equation, and the three special sequences u, v, w used in
 the examples.
 
+The automaton is determinized lazily and kept per family: each bitmask
+state met gets an integer id and a row of successor ids the first time
+it is stepped, so a family's language counts step each state once.
+
 Code word k has the form  2 0^g(k) w_k 0^g(k) 2  where w_k enumerates the
 nonempty binary words by length and g is the gap rule.  The factorial gap
 rule produces astronomically long words and is exposed through length
@@ -11,6 +15,7 @@ arithmetic only; word-level computation substitutes the linear rule.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -184,14 +189,21 @@ def kraft_entropy(source) -> KraftSolution:
 
     `source` is a list of code-word lengths or a CodeWordFamily.  S and S'
     come from `_kraft_sum`: closed geometric blocks for a linear gap rule,
-    the few terms above the float floor for the others.  The root solves
-    log S = 0 by Newton's method.  log S is convex and decreasing in h, and
-    nearly linear away from the root, so a step from the right of the root
-    lands left of it, and from the left the iterates rise monotonically to
-    it.  The search starts at h = 1 / min L with no upper limit.  A step
-    outside the bracket found so far bisects it instead, or doubles h while
-    no point right of the root is known.  It stops when a step moves h by
-    at most 8 ulp.
+    the few terms above the float floor for the others.  S - 1 is summed
+    apart, with the first term of a list as expm1(-h L_1), so that it
+    keeps its digits where h L_1 is below the float resolution of 1.  The
+    root solves log S = 0 by Newton's method, with log S = log1p(S - 1).
+    log S is convex and decreasing in h, and nearly linear away from the
+    root, so a step from the right of the root lands left of it, and from
+    the left the iterates rise monotonically to it.
+    The search starts at h = 1 / min L with no upper limit; a list of K
+    lengths has its root above (K - 1) / sum L.  A step outside the bracket
+    found so far, or one that does not halve the step before it, is
+    replaced: h doubles while no point right of the root is known, and
+    otherwise the bracket is bisected, at its geometric mean once its left
+    end is positive, so that a root like the 2.25e-98 of [1, 10**100] is
+    reached in a few dozen steps.  It stops when a step moves h by at most
+    8 ulp.
 
     `residual` is S(h) - 1 and `truncation_index` the number of words
     summed.  `tail_bound` bounds the rest of the sum: 0.0 for a finite
@@ -203,22 +215,30 @@ def kraft_entropy(source) -> KraftSolution:
         raise NoPositiveRootError(
             "Kraft sum never exceeds 1; need at least two lengths")
     first = source[0] if finite else source.length(1)
-    lo, hi = 0.0, math.inf
+    # exp(-x) >= 1 - x, so S >= 1 up to (K - 1) / sum L for K listed words
+    lo = (len(source) - 1) / sum(source) if finite else 0.0
+    hi = math.inf
     h = 1.0 / first
+    moved = math.inf
     for _ in range(_MAX_STEPS):
         s, ds, count = _kraft_sum(source, h)
-        if s > 1.0:
+        excess = (math.fsum([math.expm1(-h * first)]
+                            + [math.exp(-h * length) for length in source[1:]])
+                  if finite else s - 1.0)
+        if excess > 0.0:
             lo = h
-        elif s < 1.0:
+        elif excess < 0.0:
             hi = h
         else:
             break
         # Newton on log S; S = 0.0 (every term below the float floor) has none
-        step = h - math.log(s) * s / ds if s else lo
+        step = h - math.log1p(excess) * s / ds if s else lo
         if abs(step - h) <= 8.0 * math.ulp(h):
             break
-        if not lo < step < hi:
-            step = 2.0 * h if hi == math.inf else 0.5 * (lo + hi)
+        if not (lo < step < hi and abs(step - h) < 0.5 * moved):
+            step = (2.0 * h if hi == math.inf
+                    else lo * math.sqrt(hi / lo) if lo else 0.5 * hi)
+        moved = abs(step - h)
         h = step
     else:
         raise NoPositiveRootError(
@@ -227,7 +247,7 @@ def kraft_entropy(source) -> KraftSolution:
     if not finite:
         # later lengths start past the float floor and grow by >= 2
         tail = math.exp(-h * source.length(count + 1)) / -math.expm1(-2 * h)
-    return KraftSolution(h, s - 1.0, count, tail)
+    return KraftSolution(h, excess, count, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -252,69 +272,119 @@ def _automaton(fam: CodeWordFamily):
 
     The code words are laid end to end, so position p of the concatenation
     is bit p of a Python int, and a state is the int whose set bits are the
-    live positions.  `letters[a]` marks the positions holding symbol a,
-    `firsts` and `lasts` the first and last position of each word.  Reading
-    a keeps the live positions holding a; each moves to the next bit, and a
-    word's last position moves to the first position of every word.  The
-    start state has every position live; 0 is the dead state.
+    live positions.  Reading a keeps the live positions holding a; each
+    moves to the next bit, and a word's last position moves to the first
+    position of every word.  `inner[a]` marks the positions holding a that
+    end no word, `last[a]` those that do, and `firsts` the first position
+    of each word, so a step ANDs no negative int.  The start state has
+    every position live; 0 is the dead state.
     """
     words = _position_table(fam)
-    letters: dict[int, int] = {}
-    firsts = lasts = 0
+    inner: dict[int, int] = {}
+    last: dict[int, int] = {}
+    firsts = 0
     p = 0
     for w in words:
         firsts |= 1 << p
-        for symbol in w:
-            letters[symbol] = letters.get(symbol, 0) | (1 << p)
+        for symbol in w[:-1]:
+            inner[symbol] = inner.get(symbol, 0) | (1 << p)
             p += 1
-        lasts |= 1 << (p - 1)
-    not_lasts = ~lasts
+        last[w[-1]] = last.get(w[-1], 0) | (1 << p)
+        p += 1
 
     def step(state: int, symbol: int) -> int:
-        hit = state & letters.get(symbol, 0)
-        return ((hit & not_lasts) << 1) | (firsts if hit & lasts else 0)
+        moved = (state & inner.get(symbol, 0)) << 1
+        return moved | firsts if state & last.get(symbol, 0) else moved
 
     return (1 << p) - 1, step
 
 
+class _Walk:
+    """The walk of `coded_language_count` for one family, kept between calls
+    on a lazily determinized automaton with integer state ids.
+
+    Each live state met gets an id, its index in `states`; `ids` maps the
+    state back to it, and the dead state 0 gets none.  `rows[i]` holds the
+    ids of the live successors of state i, one entry per symbol that keeps
+    it alive, from the first time state i is stepped.  So each distinct
+    state costs one big-int step per symbol, once per family, and every
+    later visit costs small-int dict additions.  `counts` holds the count
+    of admissible words of every length walked, and `layer` the states
+    after the longest, as {id: number of words reaching it}.  Both are
+    replaced whole once a call's walk is done, so a call never reads half
+    an update, and the walk is extended under a lock, so that two threads
+    never give one state two ids.
+    """
+
+    def __init__(self, start: int, step, alphabet: int):
+        self.step = step
+        self.symbols = range(alphabet)
+        self.ids = {start: 0}
+        self.states = [start]
+        self.rows: dict[int, tuple] = {}
+        self.counts = (1,)
+        self.layer = {0: 1}
+        self.lock = threading.Lock()
+
+    def row(self, sid: int) -> tuple:
+        """The successor ids of state `sid`, stepping it on first use."""
+        row = self.rows.get(sid)
+        if row is not None:
+            return row
+        state = self.states[sid]
+        out = []
+        for symbol in self.symbols:
+            after = self.step(state, symbol)
+            if after:
+                aid = self.ids.get(after)
+                if aid is None:
+                    aid = len(self.states)
+                    self.states.append(after)
+                    self.ids[after] = aid
+                out.append(aid)
+        self.rows[sid] = row = tuple(out)
+        return row
+
+    def count(self, n: int) -> int:
+        """The count at length n, walking on from the longest length so
+        far if it is not stored."""
+        if n < len(self.counts):
+            return self.counts[n]
+        with self.lock:
+            counts = list(self.counts)
+            layer = self.layer
+            while len(counts) <= n:
+                nxt: dict[int, int] = {}
+                for sid, mult in layer.items():
+                    for aid in self.row(sid):
+                        nxt[aid] = nxt.get(aid, 0) + mult
+                layer = nxt
+                counts.append(sum(layer.values()))
+            self.counts, self.layer = tuple(counts), layer
+        return counts[n]
+
+
 @lru_cache(maxsize=16)
-def _walk(fam: CodeWordFamily) -> list:
-    """The walk of `coded_language_count` so far, in a one-slot list: the
-    count of admissible words of every length walked, and the live states
-    after the longest, each with the number of words reaching it.  Calls
-    extend it from its last layer; the slot is replaced whole, so a call
-    never reads half an update."""
-    start, _ = _automaton(fam)
-    return [((1,), {start: 1})]
+def _walk(fam: CodeWordFamily) -> _Walk:
+    """The kept walk of `coded_language_count` for a family: its memoised
+    state ids and successor rows, the counts so far and the last layer.
+    `_walk.cache_clear()` forgets all of it."""
+    start, step = _automaton(fam)
+    return _Walk(start, step, fam.alphabet)
 
 
 def coded_language_count(fam: CodeWordFamily, n: int) -> int:
     """Number of admissible words of length n: subwords of free
     concatenations of the code words, counted on a determinized automaton
-    over in-word positions.  The walk is kept per family, so a call
-    returns a stored count or walks on from the longest length so far."""
+    over in-word positions.  The walk is kept per family and each
+    automaton state is stepped once per family (see `_Walk`), so a call
+    returns a stored count or walks on from the longest length so far
+    along memoised successor rows."""
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
         return 1
-    slot = _walk(fam)
-    counts, layer = slot[0]
-    if n < len(counts):
-        return counts[n]
-    _, step = _automaton(fam)
-    symbols = range(fam.alphabet)
-    counts = list(counts)
-    while len(counts) <= n:
-        nxt: dict[int, int] = {}
-        for state, mult in layer.items():
-            for symbol in symbols:
-                after = step(state, symbol)
-                if after:
-                    nxt[after] = nxt.get(after, 0) + mult
-        layer = nxt
-        counts.append(sum(layer.values()))
-    slot[0] = (tuple(counts), layer)
-    return counts[n]
+    return _walk(fam).count(n)
 
 
 def language_membership(fam: CodeWordFamily, wrd) -> bool:

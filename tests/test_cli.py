@@ -237,6 +237,37 @@ def test_pressure_default_grid_is_kept_below_2():
         == grid + (2.0 * math.log(3.0) + 0.5,)
 
 
+def test_pressure_default_grid_bounds_a_negative_geometric_potential(
+        tmp_path, capsys):
+    # geometric:-1 adds log|f'| = log 3 to the tripling potential, so the
+    # pressure is log 9 = 2.197, above 2.0; h_top - t * max_log_slope bounds
+    # it and the default grid reaches past that bound
+    cfg = write_config(tmp_path / "pressure.ini", """
+[experiment]
+kind = pressure
+system = tripling
+potential = geometric:-1
+""")
+    csv_path = tmp_path / "pressure.csv"
+    json_path = tmp_path / "pressure.json"
+    assert run_cli(["run", cfg, "--csv", str(csv_path),
+                    "--json", str(json_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["value"]) == pytest.approx(math.log(9.0), rel=1e-9)
+    summary = json.loads(json_path.read_text())
+    assert summary["passed"] is True
+    assert summary["max_rel_error"] is not None
+    grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    assert cli.default_s_grid(maps.get_system("tripling"),
+                              maps.get_potential("geometric:-1")) \
+        == grid + (2.0 * math.log(3.0) + 0.5,)
+    # the bound log 3 + 0.5 log 4 on g3branch under geometric:-0.5 is below
+    # 2.0, and so is its pressure log(2^0.5 + 2 * 4^0.5): the grid is kept
+    assert cli.default_s_grid(maps.get_system("g3branch"),
+                              maps.get_potential("geometric:-0.5")) == grid
+
+
 def test_pressure_explicit_grid_is_not_extended(tmp_path, capsys):
     cfg = write_config(tmp_path / "pressure.ini", """
 [experiment]

@@ -320,6 +320,13 @@ def test_coded_count_walks_on_as_if_from_scratch(fid, ns):
         == [_fresh_count(fid, n) for n in ns]
 
 
+@pytest.mark.parametrize("fid", ["codedshift:linear:1,0",
+                                 "codedshift:linear:3,2"])
+@pytest.mark.parametrize("n", [40, 60])
+def test_long_coded_counts_are_the_walk_from_scratch(fid, n):
+    assert coded_language_count(get_family(fid), n) == _fresh_count(fid, n)
+
+
 # uniform-slope circle maps and their largest slope, written out
 UNIFORM_SLOPE = {"tripling": 3, "identity": 1, "iterate:tripling:2": 9,
                  "iterate:tripling:3": 27, "iterate:iterate:tripling:2:3": 729}

@@ -1,6 +1,8 @@
 """Coded shifts, Kraft roots, and the special sequences."""
+import collections
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ def test_kraft_monotone_under_extra_words():
         base = kraft_entropy(lengths).h
         more = kraft_entropy(lengths + [int(rng.integers(2, 12))]).h
         assert more > base
+
+
+@pytest.mark.parametrize("big", [10 ** 6, 10 ** 100], ids=["1e6", "1e100"])
+def test_kraft_resolves_roots_below_float_resolution(big):
+    # exp(-h) rounds to 1.0 below h = 1e-16, and the root of [1, 10**100]
+    # is about 2.25e-98: at it, 1 - exp(-h) = exp(-h * big)
+    sol = kraft_entropy([1, big])
+    assert 0.0 < sol.h < 1e-4
+    assert -math.expm1(-sol.h) == pytest.approx(math.exp(-sol.h * big),
+                                                rel=1e-12, abs=0.0)
 
 
 def test_kraft_needs_positive_root():
@@ -175,6 +187,36 @@ def test_coded_count_pinned_values():
     fam = get_family("codedshift:linear:1,0")
     assert tuple(coded_language_count(fam, n) for n in range(8, 26)) \
         == LINEAR_1_0_COUNTS
+
+
+def test_kept_walk_steps_each_state_once_per_symbol(monkeypatch):
+    fam = get_family("codedshift:linear:1,0")
+    start, step = symbolic._automaton(fam)
+    stepped = collections.Counter()
+
+    def counted(state, symbol):
+        stepped[state, symbol] += 1
+        return step(state, symbol)
+
+    monkeypatch.setattr(symbolic, "_automaton", lambda _: (start, counted))
+    symbolic._walk.cache_clear()
+    try:
+        walked = [coded_language_count(fam, n) for n in range(26)]
+        assert tuple(walked[8:]) == LINEAR_1_0_COUNTS
+        first = sum(stepped.values())
+        ns = list(range(26))
+        random.Random(3).shuffle(ns)
+        assert [coded_language_count(fam, n) for n in ns] \
+            == [walked[n] for n in ns]
+        assert sum(stepped.values()) == first
+        # walking on past 25 reuses the rows of the states already met
+        ns = list(range(40))
+        random.Random(4).shuffle(ns)
+        for n in ns:
+            coded_language_count(fam, n)
+        assert max(stepped.values()) == 1
+    finally:
+        symbolic._walk.cache_clear()
 
 
 def test_coded_count_is_not_bounded_by_the_recursion_limit():
