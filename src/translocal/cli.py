@@ -123,13 +123,12 @@ def expected_translocal(sys_obj, point, omega):
     if name == "sqrtmap" and abs(point.coords[0]) < 1e-12:
         return math.log(2.0), "closed form log 2 at the origin", 0.10
     if sys_obj.matrix is not None:
-        eigs = maps.toral_eigen_data(sys_obj)
-        return (entropy.toral_translocal(eigs, omega),
+        return (entropy.toral_translocal(sys_obj.spectrum, omega),
                 "spectral closed form sum(log|eig| - omega)+", 0.15)
     return None
 
 
-def expected_for(kind, sys_obj, point, omega, pot_id, extra):
+def expected_for(kind, sys_obj, point, omega, pot, extra):
     if kind == "translocal":
         return expected_translocal(sys_obj, point, omega)
     if kind == "restricted-entropy" and sys_obj.h_top is not None \
@@ -140,17 +139,14 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
         if mu == "lebesgue-circle" and sys_obj.uniform_slope is not None:
             return (math.log(sys_obj.uniform_slope),
                     "exact Bowen-interval length decay", 0.05)
-        if sys_obj.name.startswith("fullshift:2") \
-                and mu == "bernoulli:0.5,0.5":
+        if sys_obj.alphabet == 2 and mu == "bernoulli:0.5,0.5":
             return math.log(2.0), "fair-coin cylinder mass decay", 0.05
     slopes = maps.full_branch_slopes(sys_obj)
     if kind == "translocal-pressure" and slopes is not None \
             and extra.get("measure") == "lebesgue-circle":
         # a metric ball's Lebesgue mass does not depend on the map
-        shift = float(pot_id.split(":")[1]) if pot_id.startswith("constant") \
-            else 0.0
-        if pot_id in ("zero",) or pot_id.startswith("constant"):
-            return omega + shift, "arc-length ball measure closed form", 0.10
+        if pot.kind in ("zero", "constant"):
+            return omega + pot.c, "arc-length ball measure closed form", 0.10
     if kind == "yz-function" and sys_obj.name == "staircase":
         # the steepest branch reaching x; at an edge 2^-m, band m + 1's
         x = point.coords[0]
@@ -158,12 +154,11 @@ def expected_for(kind, sys_obj, point, omega, pot_id, extra):
                              if br.lo - 1e-12 <= x <= br.hi + 1e-12)),
                 "per-band slope count closed form", 0.10)
     if kind == "pressure" and slopes is not None:
-        if pot_id in ("zero",):
+        if pot.kind == "zero":
             return (math.log(len(slopes)), "full-branch lap count log k",
                     0.10)
-        if pot_id.startswith("geometric:"):
-            t = float(pot_id.split(":")[1])
-            return (math.log(math.fsum(s ** -t for s in slopes)),
+        if pot.kind == "geometric":
+            return (math.log(math.fsum(s ** -pot.t for s in slopes)),
                     "Bowen's formula log sum_i s_i^-t", 0.10)
     return None
 
@@ -263,7 +258,7 @@ def run_experiment(cfg):
             for w in omegas or [0.5]:
                 up, _ = entropy.translocal_entropy(sys_obj, p, w, sched)
                 emit(label(p), w, None, up.value, up.residual,
-                     expected_for(kind, sys_obj, p, w, pot_id, extra),
+                     expected_for(kind, sys_obj, p, w, pot, extra),
                      up.warning)
     elif kind == "restricted-entropy":
         radius = exp.getfloat("radius", fallback=0.5)
@@ -271,13 +266,13 @@ def run_experiment(cfg):
             est = entropy.restricted_entropy(
                 sys_obj, spaces.Ball(p, radius), sched)
             emit(label(p), None, None, est.value, est.residual,
-                 expected_for(kind, sys_obj, p, None, pot_id, extra),
+                 expected_for(kind, sys_obj, p, None, pot, extra),
                  est.warning)
     elif kind == "yz-function":
         for p in points:
             est = entropy.yz_entropy_function(sys_obj, p, sched=sched)
             emit(label(p), None, None, est.value, est.residual,
-                 expected_for(kind, sys_obj, p, None, pot_id, extra),
+                 expected_for(kind, sys_obj, p, None, pot, extra),
                  est.warning)
     elif kind == "lyapunov":
         horizon = exp.getint("steps", fallback=200)
@@ -293,7 +288,7 @@ def run_experiment(cfg):
             else:
                 up, _ = measures.local_pressure(sys_obj, mu, pot, p, sched)
             emit(label(p), None, None, up.value, up.residual,
-                 expected_for(kind, sys_obj, p, None, pot_id, extra),
+                 expected_for(kind, sys_obj, p, None, pot, extra),
                  up.warning)
     elif kind == "translocal-pressure":
         if mu is None:
@@ -303,7 +298,7 @@ def run_experiment(cfg):
                 up, _ = measures.translocal_local_pressure(
                     sys_obj, mu, pot, p, w, sched)
                 emit(label(p), w, None, up.value, up.residual,
-                     expected_for(kind, sys_obj, p, w, pot_id, extra),
+                     expected_for(kind, sys_obj, p, w, pot, extra),
                      up.warning)
     elif kind == "pressure":
         region = pressure.whole_circle()
@@ -314,7 +309,7 @@ def run_experiment(cfg):
                                           s_grid=grid)
         emit("whole-space", None, crit.value, crit.value,
              crit.bracket[1] - crit.bracket[0],
-             expected_for(kind, sys_obj, None, None, pot_id, extra))
+             expected_for(kind, sys_obj, None, None, pot, extra))
     elif kind == "audit":
         if mu is None:
             raise ConfigError("audit needs a measure id")
@@ -399,29 +394,20 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    args.csv = args.csv or ""
-    args.json = args.json or ""
-    return cmd_run(args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="translocal",
         description="entropy and pressure estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
-    p_run.add_argument("--csv", default="")
-    p_run.add_argument("--json", default="")
-    p_run.set_defaults(fn=cmd_run)
-    p_list = sub.add_parser("list", help="list catalogue ids")
-    p_list.set_defaults(fn=cmd_list)
-    p_audit = sub.add_parser("audit", help="run an audit config")
-    p_audit.add_argument("config")
-    p_audit.add_argument("--csv", default="")
-    p_audit.add_argument("--json", default="")
-    p_audit.set_defaults(fn=cmd_audit)
+    # `audit` is another name for `run`
+    for command, text in (("run", "run an experiment config"),
+                          ("audit", "run an audit config")):
+        p_run = sub.add_parser(command, help=text)
+        p_run.add_argument("config")
+        p_run.add_argument("--csv", default="")
+        p_run.add_argument("--json", default="")
+        p_run.set_defaults(fn=cmd_run)
+    sub.add_parser("list", help="list catalogue ids").set_defaults(fn=cmd_list)
     args = parser.parse_args(argv)
     return args.fn(args)
 

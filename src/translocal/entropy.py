@@ -13,9 +13,9 @@ and only the two kept windows get a residual.  Only the reported eps (the
 last one and the one before it) are counted and fitted.  Each estimator is
 one pass over its schedule: a fixed 1D ball is pushed forward by one branch
 walk to the largest n, a shrinking 1D cell is priced from its centre and
-radius directly, a toral curve takes one eigendecomposition, and every cell
-is counted for every reported eps at once, since a cell's image variation
-does not depend on eps.
+radius directly, a toral cell reads the expanding directions its system
+derived when it was built, and every cell is counted for every reported
+eps at once, since a cell's image variation does not depend on eps.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from . import separated
-from .maps import System, log_derivative_sums, toral_eigen_data
+from .maps import System, log_derivative_sums
 from .separated import separation_prefix_length
 from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
                      pinned_symbols)
@@ -254,33 +254,9 @@ def _log_counts_1d(tv: float, whole: bool, epsilons) -> list[float]:
     return [math.log(int(tv / eps) + 1) for eps in epsilons]
 
 
-def _real_eigenbasis(matrix):
-    """(modulus, sup-normalized real direction) pairs, expanding first."""
-    import numpy as np
-    a = np.asarray(matrix, dtype=float)
-    vals, vecs = np.linalg.eig(a)
-    out = []
-    used = set()
-    for i, lam in enumerate(vals):
-        if i in used:
-            continue
-        if abs(lam.imag) > 1e-12:
-            j = int(np.argmin(np.abs(vals - lam.conjugate())))
-            used.add(j)
-            for v in (vecs[:, i].real, vecs[:, i].imag):
-                nrm = np.abs(v).max()
-                if nrm > 1e-12:
-                    out.append((abs(lam), v / nrm))
-        else:
-            v = vecs[:, i].real
-            out.append((abs(lam), v / np.abs(v).max()))
-    out.sort(key=lambda t: -t[0])
-    return out
-
-
 def _toral_rows(sys: System, cells, epsilons) -> list[list]:
     """Product of the greedy counts along the expanding eigendirections, for
-    each (n, radius) of `cells`, from one eigendecomposition.
+    each (n, radius) of `cells`.
 
     A linear map sends the segment z + t*v (|t| <= r) onto a segment along
     A^(n-1) v, so its sup-norm image variation is exactly
@@ -290,14 +266,12 @@ def _toral_rows(sys: System, cells, epsilons) -> list[list]:
     """
     import numpy as np
     a = np.asarray(sys.matrix, dtype=float)
-    expanding = [vec for modulus, vec in _real_eigenbasis(sys.matrix)
-                 if modulus > 1.0 + 1e-12]
     rows = []
     for n, radius in cells:
         radius = min(radius, 0.5)
         power = np.linalg.matrix_power(a, n - 1)
         tvs = [2 * radius * float(np.abs(power @ vec).max()) * (1.0 - 1e-12)
-               for vec in expanding]
+               for vec in sys.expanding]
         row = []
         for eps in epsilons:
             log_total = 0.0
@@ -381,8 +355,7 @@ def translocal_entropy(sys: System, z: Point, omega: float,
     clamped at zero; each curve is fitted once for both.
 
     A radius below 1e-13 (below representable sample resolution) drops its
-    n.  A 1D cell is priced from the centre and radius directly, and a toral
-    curve takes one eigendecomposition."""
+    n.  A 1D cell is priced from the centre and radius directly."""
     if omega < 0:
         raise ValueError("omega must be >= 0")
     cells = [(n, r) for n in sched.n_values
@@ -415,7 +388,7 @@ def translocal_entropy(sys: System, z: Point, omega: float,
 def lyapunov_exponent(sys: System, x: Point, n: int) -> tuple[float, float]:
     """Upper/lower surrogates of (1/k) log|Df^k(x)| over the tail window."""
     if sys.matrix is not None:
-        top = math.log(toral_eigen_data(sys)[0][0])
+        top = math.log(sys.spectrum[0][0])
         return top, top
     averages = [total / k for k, total in
                 enumerate(log_derivative_sums(sys, x, n), start=1)]

@@ -9,8 +9,11 @@ functions that build or read arrays, so a process that takes only scalar
 paths never loads it.
 Branch ends are left-closed: an end belongs to the branch starting there.
 An iterate of a map whose branches are all affine and increasing onto the
-circle is a composed table of its own; any other iterate, whose table would
-need inverse branches to compose, steps through its base system.
+circle is a composed table of its own, and an iterate of a torus map is
+the map of the matrix power; any other iterate, whose table would need
+inverse branches to compose, steps through its base system.
+A torus map's spectrum is derived once, when it is built, from one
+eigendecomposition.
 """
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ from .errors import (HorizonExceededError, SingularOrbitError,
                      SpaceMismatchError)
 from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Point
 
-DEFAULT_HORIZON = 100_000
+# the longest orbit any path steps
+HORIZON = 100_000
 STAIRCASE_LEVEL_CAP = 12
 # a composed iterate table holds k^r branches; larger ones are refused
 MAX_ITERATE_BRANCHES = 10_000
@@ -41,7 +45,7 @@ def _derived(default=None):
 class System:
     """A catalogue dynamical system, given by its `branches` (1D, sorted by
     `lo`), its integer `matrix` (torus), its `alphabet` (full shift), or the
-    `base` f and `power` r of an iterate f^r with no table of its own.
+    `base` f and `power` r of a 1D iterate f^r with no table of its own.
 
     The rest is derived.  `step_many` maps an (N, d) coordinate array one
     iterate forward, reduced into the phase space, `step` one 1D coordinate;
@@ -51,7 +55,10 @@ class System:
     that are kinks, where the one-sided |slopes| differ; `uniform_slope` is
     s when every branch is affine with |slope| s; `h_top` is log k when all
     k branches map onto the unit domain; `max_log_slope` is None where
-    log|f'| is unbounded.
+    log|f'| is unbounded.  Of a matrix: `spectrum` is its eigenvalue
+    moduli with algebraic multiplicities, descending, and `expanding` the
+    sup-normalised real directions of its eigenvalues of modulus above 1
+    (a complex pair gives its real and imaginary parts), largest first.
     """
 
     name: str
@@ -59,7 +66,6 @@ class System:
     dim: int
     matrix: tuple | None = None
     alphabet: int | None = None
-    horizon: int = DEFAULT_HORIZON
     branches: tuple = ()
     base: System | None = None
     power: int = 1
@@ -73,6 +79,8 @@ class System:
     uniform_slope: float | None = _derived()
     h_top: float | None = _derived()
     max_log_slope: float | None = _derived()
+    spectrum: tuple = _derived(())
+    expanding: tuple = _derived(())
 
     def __post_init__(self):
         rules = {"h_top": math.log(self.alphabet)} if self.alphabet else {}
@@ -81,12 +89,7 @@ class System:
         elif self.base is not None:
             rules = _iterate_rules(self.base, self.power)
         elif self.matrix is not None:
-            import numpy as np
-            a = np.asarray(self.matrix, dtype=float)
-            rules = {"step_many": lambda c: (c @ a.T) % 1.0,
-                     "h_top": float(sum(math.log(m) * mult
-                                        for m, mult in toral_eigen_data(self)
-                                        if m > 1.0))}
+            rules = _torus_rules(self.matrix)
         for name, value in rules.items():
             object.__setattr__(self, name, value)
 
@@ -110,8 +113,8 @@ def orbit(sys: System, x: Point, n: int) -> list[Point]:
     """[x, f(x), ..., f^(n-1)(x)]; n must be >= 1 and within the horizon."""
     if n < 1:
         raise ValueError("orbit length must be >= 1")
-    if n > sys.horizon:
-        raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    if n > HORIZON:
+        raise HorizonExceededError(f"orbit length {n} exceeds horizon {HORIZON}")
     pts = [x]
     for _ in range(n - 1):
         pts.append(evaluate(sys, pts[-1]))
@@ -120,8 +123,8 @@ def orbit(sys: System, x: Point, n: int) -> list[Point]:
 
 def orbit_coords(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
     """Stacked orbit segments: result[:, j] = f^j(coords), shape (N, n, d)."""
-    if n > sys.horizon:
-        raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    if n > HORIZON:
+        raise HorizonExceededError(f"orbit length {n} exceeds horizon {HORIZON}")
     import numpy as np
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     out = np.empty((coords.shape[0], n, coords.shape[1]))
@@ -135,8 +138,8 @@ def orbit_coords(sys: System, coords: np.ndarray, n: int) -> np.ndarray:
 
 def point_orbit(sys: System, c: float, n: int) -> list[float]:
     """[c, f(c), ..., f^(n-1)(c)] for one 1D coordinate, by the scalar step."""
-    if n > sys.horizon:
-        raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    if n > HORIZON:
+        raise HorizonExceededError(f"orbit length {n} exceeds horizon {HORIZON}")
     step, out = sys.step, [c]
     for _ in range(n - 1):
         out.append(step(out[-1]))
@@ -154,7 +157,7 @@ def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
     table, each point's log-slope read off the branch that holds it, and the
     running sum in orbit order.  An orbit point within 1e-12 of a kink of
     that branch raises SingularOrbitError."""
-    if not sys.branches and (sys.base is None or sys.step is None):
+    if not sys.branches and sys.base is None:
         raise ValueError(f"system {sys.name!r} has no derivative rule")
     if x.space != sys.space:
         raise SpaceMismatchError(f"point in {x.space!r}, system on {sys.space!r}")
@@ -162,8 +165,8 @@ def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
         # f^r: every r-th sum of f's, each f^r-step's r terms added in turn
         r = sys.power
         return log_derivative_sums(sys.base, x, r * n)[r - 1::r]
-    if n > sys.horizon:
-        raise HorizonExceededError(f"orbit length {n} exceeds horizon {sys.horizon}")
+    if n > HORIZON:
+        raise HorizonExceededError(f"orbit length {n} exceeds horizon {HORIZON}")
     table, cuts, logs, kinks = (sys.branches, sys.cuts, sys.log_slopes,
                                 sys.singular_ends)
     step = sys.step
@@ -185,24 +188,38 @@ def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
     return sums
 
 
-def toral_eigen_data(sys: System) -> list[tuple[float, int]]:
-    """Eigenvalue moduli with algebraic multiplicities, descending."""
-    if sys.matrix is None:
-        raise ValueError(f"system {sys.name!r} is not toral")
+def _torus_rules(matrix) -> dict:
+    """The step, `spectrum`, `expanding` directions and `h_top` of the torus
+    map of an integer matrix, from one eigendecomposition."""
     import numpy as np
-    a = np.asarray(sys.matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("toral matrix must be square")
     if not np.allclose(a, np.round(a)):
         raise ValueError("toral matrix must have integer entries")
-    moduli = sorted(np.abs(np.linalg.eigvals(a)), reverse=True)
-    grouped: list[tuple[float, int]] = []
-    for m in moduli:
-        if grouped and abs(grouped[-1][0] - m) < 1e-9:
-            grouped[-1] = (grouped[-1][0], grouped[-1][1] + 1)
+    vals, vecs = np.linalg.eig(a)
+    spectrum: list[tuple[float, int]] = []
+    for m in sorted(np.abs(vals), reverse=True):
+        if spectrum and abs(spectrum[-1][0] - m) < 1e-9:
+            spectrum[-1] = (spectrum[-1][0], spectrum[-1][1] + 1)
         else:
-            grouped.append((float(m), 1))
-    return grouped
+            spectrum.append((float(m), 1))
+    directions = []
+    for lam, vec in zip(vals, vecs.T):
+        # a complex pair's real and imaginary parts span its plane once
+        if lam.imag >= -1e-12:
+            parts = (vec.real, vec.imag) if lam.imag > 1e-12 else (vec.real,)
+            directions += [(abs(lam), v / np.abs(v).max()) for v in parts
+                           if np.abs(v).max() > 1e-12]
+    directions.sort(key=lambda t: -t[0])
+    expanding = tuple(v for m, v in directions if m > 1.0 + 1e-12)
+    for v in expanding:
+        v.flags.writeable = False          # shared by every caller
+    return {"step_many": lambda c: (c @ a.T) % 1.0,
+            "spectrum": tuple(spectrum),
+            "expanding": expanding,
+            "h_top": float(sum(math.log(m) * mult for m, mult in spectrum
+                               if m > 1.0))}
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +309,23 @@ def _table_rules(table: tuple, space: str) -> dict:
 
 
 def _iterate_rules(base: System, r: int) -> dict:
-    """The rules of f^r stepped through f, for an f whose table does not
-    compose (or a torus map)."""
-    rules = {"step_many": _repeat(base.step_many, r),
-             "h_top": None if base.h_top is None else r * base.h_top,
-             "max_log_slope": (None if base.max_log_slope is None
-                               else r * base.max_log_slope)}
-    if base.step is not None:
-        def log_slope_many(c):
-            import numpy as np
-            c = np.asarray(c, dtype=float).reshape(-1, 1)
-            total = np.zeros(c.shape[0])
-            for _ in range(r):
-                total += base.log_slope_many(c)
-                c = base.step_many(c)
-            return total
+    """The rules of f^r stepped through f, for a 1D f whose table does not
+    compose."""
+    def log_slope_many(c):
+        import numpy as np
+        c = np.asarray(c, dtype=float).reshape(-1, 1)
+        total = np.zeros(c.shape[0])
+        for _ in range(r):
+            total += base.log_slope_many(c)
+            c = base.step_many(c)
+        return total
 
-        rules.update(step=_repeat(base.step, r),
-                     log_slope_many=log_slope_many)
-    return rules
+    return {"step": _repeat(base.step, r),
+            "step_many": _repeat(base.step_many, r),
+            "log_slope_many": log_slope_many,
+            "h_top": None if base.h_top is None else r * base.h_top,
+            "max_log_slope": (None if base.max_log_slope is None
+                              else r * base.max_log_slope)}
 
 
 def _repeat(f, r):
@@ -437,7 +452,8 @@ def get_system(spec_id: str) -> System:
 def iterate_system(sys: System, r: int) -> System:
     """The map f^r, sharing f's phase space.  When every branch of f is
     affine and increasing onto the circle, f^r is the composed table of its
-    k^r branches; otherwise it records f as `base` and r as `power`."""
+    k^r branches, and a torus map's f^r is the map of its matrix power;
+    otherwise it records f as `base` and r as `power`."""
     if r < 1:
         raise ValueError("iterate count must be >= 1")
     if sys.space == SYMBOLIC:
@@ -451,15 +467,16 @@ def iterate_system(sys: System, r: int) -> System:
         table = sys.branches
         for _ in range(r - 1):
             table = _compose(sys.branches, table)
-        return System(name, sys.space, sys.dim, horizon=sys.horizon,
-                      branches=table)
-    matrix = None
+        return System(name, sys.space, sys.dim, branches=table)
     if sys.matrix is not None:
         import numpy as np
-        matrix = tuple(tuple(int(v) for v in row) for row in
-                       np.linalg.matrix_power(np.asarray(sys.matrix, dtype=int), r))
-    return System(name, sys.space, sys.dim, matrix=matrix,
-                  horizon=sys.horizon, base=sys, power=r)
+        # in exact integers; the float step holds entries up to 2^53 exactly
+        power = np.linalg.matrix_power(np.asarray(sys.matrix, dtype=object), r)
+        if np.abs(power).max() > 2 ** 53:
+            raise ValueError(f"{name} has matrix entries beyond 2^53")
+        return System(name, sys.space, sys.dim, matrix=tuple(
+            tuple(int(v) for v in row) for row in power))
+    return System(name, sys.space, sys.dim, base=sys, power=r)
 
 
 def _compose(first: tuple, then: tuple) -> tuple:

@@ -17,8 +17,7 @@ from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
-                   evaluate, full_branch_slopes, point_orbit,
-                   toral_eigen_data)
+                   evaluate, full_branch_slopes, point_orbit)
 from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
                      pinned_symbols)
 
@@ -121,14 +120,20 @@ def ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None) -> float
     if mu.variant == "bernoulli":
         m = pinned_symbols(ball, metric or Metric(SYMBOLIC,
                                                   alphabet=len(mu.p)))
-        mass = 1.0
-        for i in range(m):
-            mass *= mu.p[ball.center.word[i]]
-        return mass
+        return _cylinder_masses(mu, ball.center.word, m)[m]
     if mu.variant == "dirac":
         m = metric or Metric(mu.space, alphabet=2)
         return 1.0 if ball.contains(mu.atom, m) else 0.0
     raise ValueError(f"unknown measure variant {mu.variant!r}")
+
+
+def _cylinder_masses(mu: Measure, wrd: tuple, depth: int) -> list[float]:
+    """[Bernoulli mass of the cylinder of wrd's first k symbols for
+    k = 0 .. min(depth, len(wrd))], each the product in word order."""
+    masses = [1.0]
+    for symbol in wrd[:depth]:
+        masses.append(masses[-1] * mu.p[symbol])
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -137,57 +142,71 @@ def ball_measure(mu: Measure, ball: Ball, metric: Metric | None = None) -> float
 
 def bowen_ball_measure(sys: System, mu: Measure, x: Point, n: int,
                        eps: float) -> float:
-    """Measure of {y : d(f^j x, f^j y) < eps for all j < n}."""
-    if n < 1:
+    """Measure of {y : d(f^j x, f^j y) < eps for all j < n}: the one-n case
+    of `_bowen_masses`."""
+    return _bowen_masses(sys, mu, x, (n,), eps)[0]
+
+
+def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
+                  eps: float) -> list[float]:
+    """[Bowen-ball measure at x for each n of a window].  At n = 1 the ball
+    is the open eps-ball; for larger n the backend of (sys, mu) is chosen
+    once for the window: Dirac membership, a Bernoulli cylinder, a
+    Lebesgue arc pulled back along x's orbit, or a toral box."""
+    ns = tuple(n_values)
+    if min(ns) < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return ball_measure(mu, Ball(x, eps, closed=False))
+    longer = [n for n in ns if n > 1]
+    masses = iter(_bowen_backend(sys, mu, x, longer, eps) if longer else ())
+    return [ball_measure(mu, Ball(x, eps, closed=False)) if n == 1
+            else next(masses) for n in ns]
+
+
+def _bowen_backend(sys: System, mu: Measure, x: Point, ns: list,
+                   eps: float) -> list[float]:
+    """[Bowen-ball measure at x for each n >= 2 of `ns`]."""
     if mu.variant == "dirac":
         m = separated.default_metric(sys)
-        return 1.0 if separated.bowen_distance(sys, x, mu.atom, n, m) < eps \
-            else 0.0
+        return [1.0 if separated.bowen_distance(sys, x, mu.atom, n, m) < eps
+                else 0.0 for n in ns]
     if mu.variant == "bernoulli":
-        m = pinned_symbols(Ball(x, eps, closed=False),
-                           Metric(SYMBOLIC, alphabet=len(mu.p)))
-        depth = min((n - 1) + m, len(x.word))
-        mass = 1.0
-        for i in range(depth):
-            mass *= mu.p[x.word[i]]
-        return mass
+        # the Bowen ball pins n - 1 more symbols than the open ball
+        pins = pinned_symbols(Ball(x, eps, closed=False),
+                              Metric(SYMBOLIC, alphabet=len(mu.p)))
+        masses = _cylinder_masses(mu, x.word, max(ns) - 1 + pins)
+        return [masses[min(n - 1 + pins, len(x.word))] for n in ns]
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:
-        return _bowen_masses(sys, mu, x, (n,), eps)[0]
+        return _arc_masses(sys, x, ns, eps)
     if mu.variant == "lebesgue-torus" and sys.matrix is not None:
-        return _toral_bowen_measure(sys, n, eps)
+        return [_toral_bowen_measure(sys, n, eps) for n in ns]
     raise ValueError(
         f"no Bowen-ball backend for measure {mu.variant!r} on "
         f"system {sys.name!r}")
 
 
-def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
-                  eps: float) -> list[float]:
-    """`bowen_ball_measure` for each n of a window.
+def _arc_masses(sys: System, x: Point, ns: list, eps: float) -> list[float]:
+    """[Lebesgue measure of the Bowen ball at x on the circle for each n of
+    `ns`].
 
-    A Lebesgue Bowen ball on the circle is an arc, measured from one orbit
-    of x.  Every Lebesgue-invariant circle map f has full affine branches
-    of positive slope (an iterate's composed table too), so f(c + t) - f(c)
-    on the lift is increasing and piecewise linear in t.  Each side's
-    extent starts at eps at time n - 1 and is pulled back exactly through
-    f's branches along x's orbit, capped at eps after every step.  Above
+    The ball is an arc, measured from one orbit of x.  Every
+    Lebesgue-invariant circle map f has full affine branches of positive
+    slope (an iterate's composed table too), so f(c + t) - f(c) on the
+    lift is increasing and piecewise linear in t.  Each side's extent
+    starts at eps at time n - 1 and is pulled back exactly through f's
+    branches along x's orbit, capped at eps after every step.  Above
     eps = 1/(s + 1), s the largest slope of f, a ball can have several arcs
     and eps is refused; from eps = 0.5 on, the ball is the circle up to a
     null set.
     """
-    if mu.variant != "lebesgue-circle" or sys.space != CIRCLE:
-        return [bowen_ball_measure(sys, mu, x, n, eps) for n in n_values]
     if eps >= 0.5:
-        return [1.0] * len(n_values)
+        return [1.0] * len(ns)
     table = sys.branches
     bound = 1.0 / (max(full_branch_slopes(sys)) + 1.0)
     if eps > bound:
         raise ValueError(f"eps {eps} exceeds 1/(s + 1) = {bound:.6g} on "
                          f"{sys.name!r}: its Bowen balls may have several "
                          f"arcs")
-    orb = point_orbit(sys, x.coords[0], max(n_values))
+    orb = point_orbit(sys, x.coords[0], max(ns))
     at = [bisect_right(sys.cuts, c) for c in orb]
 
     def pull(k, e, side):
@@ -202,7 +221,7 @@ def _bowen_masses(sys: System, mu: Measure, x: Point, n_values,
         return room + (e - room * br.slope) / nxt.slope
 
     masses = []
-    for n in n_values:
+    for n in ns:
         total = 0.0
         for side in (-1, 1):
             e = eps
@@ -217,7 +236,7 @@ def _toral_bowen_measure(sys: System, n: int, eps: float) -> float:
     # box volume shrinking by the expanding spectrum; exact for diagonalizable
     # integer matrices with the sup metric up to eigenbasis distortion
     vol = 1.0
-    for mod, mult in toral_eigen_data(sys):
+    for mod, mult in sys.spectrum:
         factor = mod ** (n - 1) if mod > 1.0 else 1.0
         for _ in range(mult):
             vol *= min(2.0 * eps / factor, 1.0)
@@ -241,13 +260,19 @@ class LocalPressureEstimate:
     warning: str | None = None
 
 
-def _pair(ests, point, pot_id, omega):
-    out = []
-    for est, kind in zip(ests, ("upper", "lower")):
-        out.append(LocalPressureEstimate(
-            est.value, kind, point, pot_id, omega, est.n_window, est.eps,
-            est.residual, est.warning))
-    return tuple(out)
+def _local_rates(sys: System, pot: Potential, x: Point, ns, masses,
+                 eps: float, omega: float | None
+                 ) -> tuple[LocalPressureEstimate, LocalPressureEstimate]:
+    """(upper, lower) rates of S_n phi(x) - log mass_n over the n of `ns`,
+    reported at `eps`; a zero mass makes both infinite."""
+    series = [(n, math.inf if v == 0.0 else phi - math.log(v))
+              for n, phi, v in zip(ns, birkhoff_sums(pot, sys, x, ns),
+                                   masses)]
+    return tuple(LocalPressureEstimate(est.value, kind, x, pot.kind, omega,
+                                       est.n_window, est.eps, est.residual,
+                                       est.warning)
+                 for est, kind in zip(_rate_pair(series, eps),
+                                      ("upper", "lower")))
 
 
 def _rate_pair(data, eps):
@@ -265,15 +290,11 @@ def local_pressure(sys: System, mu: Measure, pot: Potential, x: Point,
                    ) -> tuple[LocalPressureEstimate, LocalPressureEstimate]:
     """Rates of Birkhoff sums minus log Bowen-ball measure."""
     _require_invariant(sys, mu)
-
     # the estimate is reported at the schedule's last (smallest) eps
     eps = sched.epsilons[-1]
-    masses = _bowen_masses(sys, mu, x, sched.n_values, eps)
-    series = [(n, math.inf if v == 0.0 else phi - math.log(v))
-              for n, phi, v in zip(sched.n_values,
-                                   birkhoff_sums(pot, sys, x, sched.n_values),
-                                   masses)]
-    return _pair(_rate_pair(series, eps), x, pot.kind, None)
+    ns = sched.n_values
+    return _local_rates(sys, pot, x, ns, _bowen_masses(sys, mu, x, ns, eps),
+                        eps, None)
 
 
 def brin_katok(sys: System, mu: Measure, x: Point,
@@ -292,12 +313,7 @@ def translocal_local_pressure(sys: System, mu: Measure, pot: Potential,
     _require_invariant(sys, mu)
     if omega < 0:
         raise ValueError("omega must be >= 0")
-
     # the series does not depend on eps: one fit, reported at the last eps
-    series = []
-    for n, phi in zip(sched.n_values, birkhoff_sums(pot, sys, x,
-                                                    sched.n_values)):
-        v = ball_measure(mu, Ball(x, math.exp(-omega * n)))
-        series.append((n, math.inf if v == 0.0 else phi - math.log(v)))
-
-    return _pair(_rate_pair(series, sched.epsilons[-1]), x, pot.kind, omega)
+    ns = sched.n_values
+    masses = [ball_measure(mu, Ball(x, math.exp(-omega * n))) for n in ns]
+    return _local_rates(sys, pot, x, ns, masses, sched.epsilons[-1], omega)

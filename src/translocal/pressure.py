@@ -34,7 +34,7 @@ one orbit pass over a midpoint grid of its interval records every such
 level; the log-derivative sums over j < n - 1 that size the balls are
 prefixes of the next level's, as are the potential sums.  Where such a
 trend is not affine in s, the secant point misses and the bracket is
-bisected down to `tol`.
+bisected down to `_S_TOL`.
 
 Choices between equal covers do not hang on rounding: a later level wins
 only when cheaper by more than `_TIE` relative, and a log-weight trend
@@ -58,6 +58,7 @@ from .spaces import CIRCLE, INTERVAL, Ball, Point
 _QUAD_POINTS = 4096
 _LEVELS = 5            # cover levels N .. N+4
 _TIE = 1e-9            # relative margin that breaks a tie between covers
+_S_TOL = 0.02          # width to which a critical exponent is bisected
 
 if TYPE_CHECKING:
     import numpy as np
@@ -359,15 +360,14 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
                       r: float | None = None, omega: float | None = None,
                       n_window: tuple = (3, 4, 5, 6, 7, 8),
                       s_grid: tuple = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0),
-                      variant: str = "bowen-ball",
-                      tol: float = 0.02) -> CriticalExponent:
+                      variant: str = "bowen-ball") -> CriticalExponent:
     """Zero of the log-weight trend across N in s; a trend at or below
     `_TIE` counts as not growing.
 
     The secant point of the s-grid bracket is tried first: it is the root,
     with bracket (root, root), when its trend is within `_TIE` of 0, as on
     closed-form tables, whose trend is affine in s.  Otherwise the bracket
-    is bisected down to `tol`.  One level table, for levels
+    is bisected down to `_S_TOL`.  One level table, for levels
     min(n_window) .. max(n_window) + 4, serves every weight of the
     search."""
     if variant == "bowen-ball" and r is None:
@@ -398,7 +398,7 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
     if abs(trend(root)) <= _TIE:
         return CriticalExponent(root, (root, root), variant,
                                 (n_window[0], n_window[-1]))
-    while hi - lo > tol:
+    while hi - lo > _S_TOL:
         mid = 0.5 * (lo + hi)
         if trend(mid) > _TIE:
             lo = mid

@@ -174,8 +174,7 @@ def pairwise_count(sys: System, coords: np.ndarray, n: int, eps: float,
 
 
 def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
-                    strict: bool = True, wraparound: bool | None = None
-                    ) -> tuple[int, int, float]:
+                    strict: bool = True) -> tuple[int, int, float]:
     """Variation-scan greedy for sorted circle or interval samples, plus the
     share of image variation near the folding scale (large share means the
     sample undersamples the image and the count is unreliable).
@@ -191,8 +190,7 @@ def variation_count(sys: System, coords: np.ndarray, n: int, eps: float,
     total = coords.shape[0]
     if total == 1:
         return 1, n, 0.0
-    if wraparound is None:
-        wraparound = _covers_circle(sys, coords)
+    wraparound = _covers_circle(sys, coords)
     final = _final_images(sys, coords, n)
     gaps = np.abs(np.diff(final, axis=0))
     if sys.space == CIRCLE:

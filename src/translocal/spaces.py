@@ -12,7 +12,6 @@ are the sample sets of the reference counts in `translocal.separated`.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,9 +28,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def point_budget() -> int:
-    """Global hard cap on grid sizes, overridable via TRANSLOCAL_POINT_BUDGET."""
-    return int(os.environ.get("TRANSLOCAL_POINT_BUDGET", 5_000_000))
+# the default cap on the points of a sample grid
+POINT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,8 @@ def _axis_offsets(radius: float, resolution: float) -> np.ndarray:
     return np.arange(-k, k + 1) * resolution
 
 
-def sample_grid(ball: Ball, resolution: float, cap: int | None = None) -> Grid:
+def sample_grid(ball: Ball, resolution: float,
+                cap: int = POINT_BUDGET) -> Grid:
     """Uniform deterministic grid covering `ball` at the given resolution.
 
     Every grid point lies in the ball and every ball point is within
@@ -166,7 +165,6 @@ def sample_grid(ball: Ball, resolution: float, cap: int | None = None) -> Grid:
         raise ValueError(
             f"resolution {resolution} exceeds ball radius {ball.radius}"
         )
-    cap = point_budget() if cap is None else cap
     space = ball.center.space
 
     if space in (CIRCLE, INTERVAL):
@@ -193,16 +191,9 @@ def sample_grid(ball: Ball, resolution: float, cap: int | None = None) -> Grid:
 
     if space == SYMBOLIC:
         m = Metric(SYMBOLIC)
-        return _symbolic_grid(ball, resolution, m, cap)
+        return symbolic_grid(ball, resolution, m, cap)
 
     raise SpaceMismatchError(f"unknown space {space!r}")
-
-
-def symbolic_grid(ball: Ball, resolution: float, metric: Metric,
-                  cap: int | None = None) -> Grid:
-    """Word grid for a symbolic ball, honouring the metric's beta/alphabet."""
-    cap = point_budget() if cap is None else cap
-    return _symbolic_grid(ball, resolution, metric, cap)
 
 
 def pinned_symbols(ball: Ball, metric: Metric) -> int:
@@ -218,7 +209,9 @@ def pinned_symbols(ball: Ball, metric: Metric) -> int:
     return min(m_fixed, len(ball.center.word))
 
 
-def _symbolic_grid(ball: Ball, resolution: float, metric: Metric, cap: int) -> Grid:
+def symbolic_grid(ball: Ball, resolution: float, metric: Metric,
+                  cap: int = POINT_BUDGET) -> Grid:
+    """Word grid for a symbolic ball, honouring the metric's beta/alphabet."""
     beta, k = metric.beta, metric.alphabet
     # Words of length L resolve distances down to `resolution`; the first
     # `m_fixed` symbols are pinned by the ball's radius.

@@ -25,6 +25,8 @@ from .spaces import Point, word
 
 _UVW_CAP = 1_000_000
 _MAX_POSITIONS = 200_000
+# the code words of a gap-rule family that its language automaton holds
+_MAX_WORDS = 64
 
 
 def binary_word(k: int) -> tuple:
@@ -43,14 +45,13 @@ def binary_word(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class CodeWordFamily:
-    """Gap rule + enumeration horizon for the code words C_k."""
+    """Gap rule for the code words C_k, or the explicit words."""
 
     kind: str                      # factorial | linear | geometric | words
     a: int = 1
     b: int = 0
     c: int = 1
     explicit: tuple = ()
-    max_words: int = 64
 
     def gap(self, k: int) -> int:
         if self.kind == "factorial":
@@ -69,7 +70,7 @@ class CodeWordFamily:
     def word_count(self) -> int:
         if self.kind == "words":
             return len(self.explicit)
-        return self.max_words
+        return _MAX_WORDS
 
     def code_word(self, k: int) -> tuple:
         if self.kind == "words":
@@ -264,6 +265,11 @@ def _position_table(fam: CodeWordFamily):
     return [fam.code_word(k) for k in range(1, fam.word_count() + 1)]
 
 
+def _mask(digits) -> int:
+    """The int whose bit p is set where digits[p] is the digit 1."""
+    return int(digits[::-1], 2)
+
+
 @lru_cache(maxsize=16)
 def _automaton(fam: CodeWordFamily):
     """Start state and transition of the determinized automaton over in-word
@@ -277,26 +283,31 @@ def _automaton(fam: CodeWordFamily):
     position of every word.  `inner[a]` marks the positions holding a that
     end no word, `last[a]` those that do, and `firsts` the first position
     of each word, so a step ANDs no negative int.  The start state has
-    every position live; 0 is the dead state.
+    every position live; 0 is the dead state.  Each mask is read in one
+    pass from a string of binary digits, one per position, so symbols are
+    bytes (below 256).
     """
     words = _position_table(fam)
+    flat = b"".join(map(bytes, words))      # the symbol at each position
+    size = len(flat)
+    end_digits = bytearray(b"0" * size)
+    end = -1
+    for w in words:
+        end += len(w)
+        end_digits[end] = ord("1")
+    ends = _mask(end_digits)
+    firsts = ((ends << 1) | 1) & ((1 << size) - 1)
     inner: dict[int, int] = {}
     last: dict[int, int] = {}
-    firsts = 0
-    p = 0
-    for w in words:
-        firsts |= 1 << p
-        for symbol in w[:-1]:
-            inner[symbol] = inner.get(symbol, 0) | (1 << p)
-            p += 1
-        last[w[-1]] = last.get(w[-1], 0) | (1 << p)
-        p += 1
+    for a in set(flat):
+        held = _mask(flat.translate(bytes(b"01"[b == a] for b in range(256))))
+        inner[a], last[a] = held & ~ends, held & ends
 
     def step(state: int, symbol: int) -> int:
         moved = (state & inner.get(symbol, 0)) << 1
         return moved | firsts if state & last.get(symbol, 0) else moved
 
-    return (1 << p) - 1, step
+    return (1 << size) - 1, step
 
 
 class _Walk:

@@ -441,3 +441,38 @@ epsilons = 0.2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "1/(s + 1)" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_audit_command_is_run(tmp_path, capsys):
+    # `translocal audit` and `translocal run` take the same path
+    cfg = write_config(tmp_path / "audit.ini", """
+[experiment]
+kind = audit
+system = tripling
+measure = lebesgue-circle
+potential = constant:0.4
+""")
+    summaries = []
+    for command in ("run", "audit"):
+        json_path = tmp_path / f"{command}.json"
+        assert run_cli([command, cfg, "--json", str(json_path)]) == 0
+        summaries.append(json_path.read_text())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["passed"] is True
+
+
+def test_potential_0_reads_the_zero_potential_oracle(tmp_path, capsys):
+    # `0` is the zero potential: its pressure oracle is log 3 on tripling
+    cfg = write_config(tmp_path / "pressure.ini", """
+[experiment]
+kind = pressure
+system = tripling
+potential = 0
+""")
+    csv_path, json_path = tmp_path / "p.csv", tmp_path / "p.json"
+    assert run_cli(["run", cfg, "--csv", str(csv_path),
+                    "--json", str(json_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["expected"]) == math.log(3.0)
+    assert json.loads(json_path.read_text())["max_rel_error"] <= 1e-9

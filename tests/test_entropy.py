@@ -13,8 +13,7 @@ from translocal.entropy import (DEFAULT_SCHEDULE, RateEstimate, Schedule,
                                 growth_rates, lyapunov_exponent,
                                 restricted_entropy, toral_translocal,
                                 translocal_entropy, yz_entropy_function)
-from translocal.maps import (get_system, iterate_system, log_derivative_sum,
-                             toral_eigen_data)
+from translocal.maps import get_system, iterate_system, log_derivative_sum
 from translocal.spaces import Ball, circle, interval, torus, word
 
 LOG3 = math.log(3.0)
@@ -132,7 +131,7 @@ def test_staircase_lyapunov_raises_at_a_band_edge(x):
 
 
 def test_toral_translocal_closed_form():
-    eigs = toral_eigen_data(get_system("cat"))
+    eigs = get_system("cat").spectrum
     top = math.log(eigs[0][0])
     assert toral_translocal(eigs, 0.0) == pytest.approx(top)
     assert toral_translocal(eigs, 0.3) == pytest.approx(top - 0.3)
@@ -408,15 +407,16 @@ def test_window_design_is_cached_per_n_tuple():
 @pytest.mark.parametrize("sys_id", ["cat", "toral:2,0;0,3"])
 def test_toral_curve_takes_one_eigendecomposition(monkeypatch, sys_id):
     calls = []
-    eig = np.linalg.eig
+    for name in ("eig", "eigvals"):
+        def counted(a, fn=getattr(np.linalg, name), name=name):
+            calls.append(name)
+            return fn(a)
 
-    def counted(a):
-        calls.append(a)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     sys, z = get_system(sys_id), torus(0.1, 0.2)
+    # one when the system is built, none per curve or per call
+    assert calls == ["eig"]
     translocal_entropy(sys, z, 0.3)
     restricted_entropy(sys, Ball(z, 0.3))
-    # one for the 9-cell translocal curve, one for the restricted one
-    assert len(calls) == 2
+    lyapunov_exponent(sys, z, 10)
+    assert calls == ["eig"]

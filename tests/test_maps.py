@@ -10,8 +10,7 @@ from translocal import maps, spaces
 from translocal.errors import SingularOrbitError
 from translocal.maps import (Potential, canonical_growth, evaluate,
                              get_potential, get_system, iterate_system,
-                             log_derivative_sum, monotone_branches, orbit,
-                             toral_eigen_data)
+                             log_derivative_sum, monotone_branches, orbit)
 from translocal.spaces import circle, interval, torus, word
 
 LOG3 = math.log(3.0)
@@ -73,7 +72,7 @@ def test_cat_map_step():
 
 def test_cat_eigenvalues():
     sys = get_system("toral:2,1;1,1")
-    eigs = toral_eigen_data(sys)
+    eigs = sys.spectrum
     golden_sq = (3.0 + math.sqrt(5.0)) / 2.0
     assert eigs[0][0] == pytest.approx(golden_sq)
     assert eigs[1][0] == pytest.approx(1.0 / golden_sq)
@@ -114,9 +113,26 @@ def test_stepped_iterate_log_slopes_take_flat_and_column_points():
 def test_iterate_ids_of_parameterised_systems():
     cat2 = get_system("iterate:toral:2,1;1,1:2")
     assert cat2.matrix == ((5, 3), (3, 2))
-    assert cat2.power == 2
+    assert cat2.base is None
     with pytest.raises(ValueError, match="iterate shifts by composing"):
         get_system("iterate:fullshift:2:2")
+
+
+def test_torus_iterate_is_the_map_of_the_matrix_power():
+    # iterate:cat:2 holds A^2 alone: no base map is stepped twice
+    cat2, direct = get_system("iterate:cat:2"), get_system("toral:5,3;3,2")
+    assert cat2.base is None and cat2.matrix == direct.matrix
+    assert cat2.spectrum == direct.spectrum
+    assert cat2.h_top == direct.h_top
+    assert [v.tolist() for v in cat2.expanding] \
+        == [v.tolist() for v in direct.expanding]
+    pts = np.random.default_rng(3).random((64, 2))
+    assert cat2.step_many(pts).tobytes() == direct.step_many(pts).tobytes()
+    # A^r in exact integers (the cat map's are Fibonacci numbers, F(77)
+    # here), refused where a float step would round its entries
+    assert get_system("iterate:cat:38").matrix[0][0] == 5527939700884757
+    with pytest.raises(ValueError, match="beyond 2"):
+        get_system("iterate:cat:39")
 
 
 def test_log_derivative_sum_uniform_expansion():

@@ -345,6 +345,31 @@ def test_bowen_ball_measure_without_a_backend_is_rejected(sys_id, measure_id,
                            0.01)
 
 
+# one case per Bowen-mass backend: the Dirac mass at the fixed point 1/2,
+# a Bernoulli cylinder capped by the word's length, a Lebesgue arc and a
+# toral box
+BACKEND_CASES = [
+    ("tripling", "dirac:circle:0.5", circle(0.5001)),
+    ("fullshift:3", "bernoulli:0.2,0.3,0.5", word([2, 0, 1, 1, 0, 2, 2, 1])),
+    ("g3branch", "lebesgue-circle", circle(0.3141)),
+    ("cat", "lebesgue-torus", torus(0.1, 0.2))]
+
+
+@pytest.mark.parametrize("sys_id,measure_id,x", BACKEND_CASES)
+def test_bowen_mass_window_is_the_per_n_masses(monkeypatch, sys_id,
+                                               measure_id, x):
+    sys, mu = get_system(sys_id), get_measure(measure_id)
+    ns = tuple(range(1, 15))
+    for eps in (0.01, 0.05):
+        want = [bowen_ball_measure(sys, mu, x, n, eps) for n in ns]
+        assert len(set(want)) > 1, want
+        with monkeypatch.context() as m:
+            # the window picks its backend once and never goes per n
+            m.setattr(measures, "bowen_ball_measure", None)
+            got = measures._bowen_masses(sys, mu, x, ns, eps)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
 def test_brin_katok_tripling():
     sys = get_system("tripling")
     mu = get_measure("lebesgue-circle")

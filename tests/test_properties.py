@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translocal import symbolic
-from translocal.entropy import (_real_eigenbasis, _window, _window_residual,
-                                _window_slope, cell_log_count,
-                                cell_log_counts)
+from translocal.entropy import (_window, _window_residual, _window_slope,
+                                cell_log_count, cell_log_counts)
 from translocal.maps import (canonical_growth, catalogue_ids,
                              full_branch_slopes, get_system,
                              monotone_branches)
@@ -202,6 +201,27 @@ def test_cell_counts_do_not_increase_as_eps_grows(sys_id, u, v, radius, n,
     logs = cell_log_counts(get_system(sys_id), ball, n, ladder)
     # a descending ladder: each eps is smaller than the one before it
     assert logs == sorted(logs)
+
+
+def _real_eigenbasis(matrix):
+    """(modulus, sup-normalized real direction) pairs from `np.linalg.eig`,
+    expanding first; a complex pair gives its real and imaginary parts."""
+    vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=float))
+    out = []
+    used = set()
+    for i, lam in enumerate(vals):
+        if i in used:
+            continue
+        if abs(lam.imag) > 1e-12:
+            used.add(int(np.argmin(np.abs(vals - lam.conjugate()))))
+            for v in (vecs[:, i].real, vecs[:, i].imag):
+                if np.abs(v).max() > 1e-12:
+                    out.append((abs(lam), v / np.abs(v).max()))
+        else:
+            v = vecs[:, i].real
+            out.append((abs(lam), v / np.abs(v).max()))
+    out.sort(key=lambda t: -t[0])
+    return out
 
 
 def _line_scan_log_count(sys, ball, n, eps):

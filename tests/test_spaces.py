@@ -7,8 +7,7 @@ import pytest
 from translocal import spaces
 from translocal.errors import BudgetExceededError, SpaceMismatchError
 from translocal.spaces import (Ball, Metric, circle, circle_dist, distance,
-                               interval, point_budget, sample_grid, torus,
-                               word)
+                               interval, sample_grid, torus, word)
 
 
 def test_circle_point_wraps():
@@ -82,13 +81,6 @@ def test_sample_grid_respects_cap():
     ball = Ball(circle(0.5), 0.4)
     with pytest.raises(BudgetExceededError):
         sample_grid(ball, 1e-6, cap=1000)
-
-
-def test_point_budget_env_override(monkeypatch):
-    monkeypatch.setenv("TRANSLOCAL_POINT_BUDGET", "1234")
-    assert point_budget() == 1234
-    monkeypatch.delenv("TRANSLOCAL_POINT_BUDGET")
-    assert point_budget() == 5_000_000
 
 
 def test_torus_grid_is_mesh():

@@ -219,6 +219,41 @@ def test_kept_walk_steps_each_state_once_per_symbol(monkeypatch):
         symbolic._walk.cache_clear()
 
 
+def _bitwise_automaton(fam):
+    """The automaton's masks with one bit OR-ed in per position."""
+    inner, last, firsts, p = {}, {}, 0, 0
+    for w in symbolic._position_table(fam):
+        firsts |= 1 << p
+        for symbol in w[:-1]:
+            inner[symbol] = inner.get(symbol, 0) | (1 << p)
+            p += 1
+        last[w[-1]] = last.get(w[-1], 0) | (1 << p)
+        p += 1
+
+    def step(state, symbol):
+        moved = (state & inner.get(symbol, 0)) << 1
+        return moved | firsts if state & last.get(symbol, 0) else moved
+
+    return (1 << p) - 1, step
+
+
+@pytest.mark.parametrize("fid", ["codedshift:linear:1,0",
+                                 "codedshift:linear:3,2",
+                                 "codedshift:words:0,10,120,2"])
+def test_automaton_masks_are_the_bitwise_ones(fid):
+    fam = get_family(fid)
+    (start, step), (want_start, want_step) = (symbolic._automaton(fam),
+                                              _bitwise_automaton(fam))
+    assert start == want_start
+    rng = random.Random(5)
+    state = start
+    for _ in range(400):
+        symbol = rng.randrange(fam.alphabet)
+        after = step(state, symbol)
+        assert after == want_step(state, symbol)
+        state = after or start
+
+
 def test_coded_count_is_not_bounded_by_the_recursion_limit():
     # "0" and "1" as code words make the full 2-shift
     fam = get_family("codedshift:words:0,1")
