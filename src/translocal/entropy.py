@@ -27,7 +27,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from . import separated
-from .maps import System, log_derivative_sums
+from .maps import System, int_matmul, log_derivative_sums
 from .separated import separation_prefix_length
 from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
                      pinned_symbols)
@@ -264,13 +264,16 @@ def _toral_rows(sys: System, cells, epsilons) -> list[list]:
     Contracting directions stop contributing separated points once the ball
     outruns eps.
     """
-    import numpy as np
-    a = np.asarray(sys.matrix, dtype=float)
+    # powers[k] = A^k in exact integers, each from the one before
+    powers = [tuple(tuple(int(i == j) for j in range(sys.dim))
+                    for i in range(sys.dim))]
     rows = []
     for n, radius in cells:
         radius = min(radius, 0.5)
-        power = np.linalg.matrix_power(a, n - 1)
-        tvs = [2 * radius * float(np.abs(power @ vec).max()) * (1.0 - 1e-12)
+        while len(powers) < n:
+            powers.append(int_matmul(powers[-1], sys.matrix))
+        tvs = [2 * radius * max(abs(sum(p * x for p, x in zip(row, vec)))
+                                for row in powers[n - 1]) * (1.0 - 1e-12)
                for vec in sys.expanding]
         row = []
         for eps in epsilons:

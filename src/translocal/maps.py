@@ -12,8 +12,11 @@ An iterate of a map whose branches are all affine and increasing onto the
 circle is a composed table of its own, and an iterate of a torus map is
 the map of the matrix power; any other iterate, whose table would need
 inverse branches to compose, steps through its base system.
-A torus map's spectrum is derived once, when it is built, from one
-eigendecomposition.
+A torus map's spectrum and expanding directions are derived once, when it
+is built: in closed form from the trace and determinant of a 2x2 matrix,
+from one numpy eigendecomposition of a larger one.  Matrix powers are taken
+in exact integers, so a 2-torus is built, iterated and counted without
+numpy; only its array step loads it.
 """
 from __future__ import annotations
 
@@ -58,7 +61,8 @@ class System:
     log|f'| is unbounded.  Of a matrix: `spectrum` is its eigenvalue
     moduli with algebraic multiplicities, descending, and `expanding` the
     sup-normalised real directions of its eigenvalues of modulus above 1
-    (a complex pair gives its real and imaginary parts), largest first.
+    (a complex pair gives its real and imaginary parts), largest first,
+    each a tuple of floats.
     """
 
     name: str
@@ -190,36 +194,98 @@ def log_derivative_sums(sys: System, x: Point, n: int) -> list[float]:
 
 def _torus_rules(matrix) -> dict:
     """The step, `spectrum`, `expanding` directions and `h_top` of the torus
-    map of an integer matrix, from one eigendecomposition."""
-    import numpy as np
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    map of an integer matrix: in closed form for a 2x2 matrix, from one
+    eigendecomposition for a larger one."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("toral matrix must be square")
-    if not np.allclose(a, np.round(a)):
+    if any(v != round(v) for row in matrix for v in row):
         raise ValueError("toral matrix must have integer entries")
-    vals, vecs = np.linalg.eig(a)
+    eigen = (_eigen_2x2(*matrix[0], *matrix[1]) if len(matrix) == 2
+             else _eigen_lapack(matrix))
     spectrum: list[tuple[float, int]] = []
-    for m in sorted(np.abs(vals), reverse=True):
+    for m in sorted((m for m, _ in eigen), reverse=True):
         if spectrum and abs(spectrum[-1][0] - m) < 1e-9:
             spectrum[-1] = (spectrum[-1][0], spectrum[-1][1] + 1)
         else:
-            spectrum.append((float(m), 1))
-    directions = []
-    for lam, vec in zip(vals, vecs.T):
-        # a complex pair's real and imaginary parts span its plane once
-        if lam.imag >= -1e-12:
-            parts = (vec.real, vec.imag) if lam.imag > 1e-12 else (vec.real,)
-            directions += [(abs(lam), v / np.abs(v).max()) for v in parts
-                           if np.abs(v).max() > 1e-12]
-    directions.sort(key=lambda t: -t[0])
-    expanding = tuple(v for m, v in directions if m > 1.0 + 1e-12)
-    for v in expanding:
-        v.flags.writeable = False          # shared by every caller
-    return {"step_many": lambda c: (c @ a.T) % 1.0,
+            spectrum.append((m, 1))
+    directions = sorted(((m, v) for m, parts in eigen for v in parts),
+                        key=lambda t: -t[0])
+
+    def step_many(coords):
+        import numpy as np
+        return (coords @ np.asarray(matrix, dtype=float).T) % 1.0
+
+    return {"step_many": step_many,
             "spectrum": tuple(spectrum),
-            "expanding": expanding,
+            "expanding": tuple(v for m, v in directions if m > 1.0 + 1e-12),
             "h_top": float(sum(math.log(m) * mult for m, mult in spectrum
                                if m > 1.0))}
+
+
+# Each eigen-data rule gives one (|lam|, real directions) pair per eigenvalue
+# lam, with multiplicity.  A real lam's direction is its eigenvector; of a
+# complex pair, the member of positive imaginary part gives the real and
+# imaginary parts of its eigenvector, whose first component of largest
+# modulus is made real (LAPACK's convention), and the other member none.
+# Every direction is divided by its largest modulus.
+
+def _eigen_2x2(a, b, c, d) -> list[tuple[float, tuple]]:
+    """The eigen data of [[a, b], [c, d]], from its trace and determinant."""
+    tr, det = a + d, a * d - b * c
+    disc = tr * tr - 4 * det
+    if disc < 0:
+        # b != 0; lam = (tr + i*beta) / 2 has eigenvector (b, lam - a), whose
+        # squared moduli are b^2 and -bc
+        beta = math.sqrt(-disc)
+        if b * b >= -b * c:
+            re, im = (b * b, b * (d - a) / 2), (0.0, b * beta / 2)
+        else:
+            re, im = (b * (d - a) / 2, -b * c), (-b * beta / 2, 0.0)
+        mod = math.sqrt(det)
+        return [(mod, (_unit(re), _unit(im))), (mod, ())]
+    if disc == 0:
+        lam = tr / 2
+        if b == c == 0:
+            return [(abs(lam), ((1.0, 0.0),)), (abs(lam), ((0.0, 1.0),))]
+        v = _unit((b, lam - a) if b else (lam - d, c))
+        return [(abs(lam), (v,)), (abs(lam), (v,))]
+    root = math.sqrt(disc)
+    sign = 1 if tr >= 0 else -1
+    big = (tr + sign * root) / 2
+    out = []
+    for s, lam in ((sign, big), (-sign, det / big)):
+        # (b, lam - a) and (lam - d, c) are both eigenvectors; lam - a =
+        # (d - a + s*root) / 2 is free of cancellation when s*(d - a) >= 0
+        v = ((b, (d - a + s * root) / 2) if s * (d - a) >= 0
+             else ((a - d + s * root) / 2, c))
+        out.append((abs(lam), (_unit(v),)))
+    return out
+
+
+def _eigen_lapack(matrix) -> list[tuple[float, tuple]]:
+    """The eigen data of a square integer matrix, from `np.linalg.eig`."""
+    import numpy as np
+    vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=float))
+    out = []
+    for lam, vec in zip(vals, vecs.T):
+        parts = ((vec.real, vec.imag) if lam.imag > 1e-12 else
+                 (vec.real,) if lam.imag >= -1e-12 else ())
+        out.append((float(abs(lam)),
+                    tuple(_unit([float(x) for x in v]) for v in parts
+                          if np.abs(v).max() > 1e-12)))
+    return out
+
+
+def _unit(v) -> tuple:
+    """v divided by its largest modulus."""
+    top = max(map(abs, v))
+    return tuple(x / top for x in v)
+
+
+def int_matmul(a, b) -> tuple:
+    """The product of two integer matrices, in exact integers."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +484,8 @@ def _catalogue() -> dict[str, System]:
 _CATALOGUE = _catalogue()
 
 CAT_MATRIX = ((2, 1), (1, 1))
+# each parameterised id is built once, as the catalogue maps are
+_RESOLVED: dict[str, System] = {}
 
 
 def get_system(spec_id: str) -> System:
@@ -429,6 +497,12 @@ def get_system(spec_id: str) -> System:
     """
     if spec_id in _CATALOGUE:
         return _CATALOGUE[spec_id]
+    if spec_id not in _RESOLVED:
+        _RESOLVED[spec_id] = _resolve(spec_id)
+    return _RESOLVED[spec_id]
+
+
+def _resolve(spec_id: str) -> System:
     if spec_id == "cat":
         return get_system("toral:2,1;1,1")
     if spec_id.startswith("toral:"):
@@ -469,13 +543,18 @@ def iterate_system(sys: System, r: int) -> System:
             table = _compose(sys.branches, table)
         return System(name, sys.space, sys.dim, branches=table)
     if sys.matrix is not None:
-        import numpy as np
-        # in exact integers; the float step holds entries up to 2^53 exactly
-        power = np.linalg.matrix_power(np.asarray(sys.matrix, dtype=object), r)
-        if np.abs(power).max() > 2 ** 53:
+        # A^r by repeated squaring, in exact integers; the float step holds
+        # entries up to 2^53 exactly
+        power, square = None, sys.matrix
+        while r:
+            if r & 1:
+                power = square if power is None else int_matmul(power, square)
+            r >>= 1
+            if r:
+                square = int_matmul(square, square)
+        if max(abs(v) for row in power for v in row) > 2 ** 53:
             raise ValueError(f"{name} has matrix entries beyond 2^53")
-        return System(name, sys.space, sys.dim, matrix=tuple(
-            tuple(int(v) for v in row) for row in power))
+        return System(name, sys.space, sys.dim, matrix=power)
     return System(name, sys.space, sys.dim, base=sys, power=r)
 
 

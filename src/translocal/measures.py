@@ -128,7 +128,11 @@ def ball_measure(mu: Measure, ball: Ball) -> float:
 
 def _cylinder_masses(mu: Measure, wrd: tuple, depth: int) -> list[float]:
     """[Bernoulli mass of the cylinder of wrd's first k symbols for
-    k = 0 .. min(depth, len(wrd))], each the product in word order."""
+    k = 0 .. depth], each the product in word order.  A word shorter than
+    depth does not fix those cylinders and is refused."""
+    if len(wrd) < depth:
+        raise ValueError(f"word of {len(wrd)} symbols is too short: its "
+                         f"balls pin {depth} symbols")
     masses = [1.0]
     for symbol in wrd[:depth]:
         masses.append(masses[-1] * mu.p[symbol])
@@ -172,7 +176,7 @@ def _bowen_backend(sys: System, mu: Measure, x: Point, ns: list,
         pins = pinned_symbols(Ball(x, eps, closed=False),
                               Metric(SYMBOLIC, alphabet=len(mu.p)))
         masses = _cylinder_masses(mu, x.word, max(ns) - 1 + pins)
-        return [masses[min(n - 1 + pins, len(x.word))] for n in ns]
+        return [masses[n - 1 + pins] for n in ns]
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:
         return _arc_masses(sys, x, ns, eps)
     if mu.variant == "lebesgue-torus" and sys.matrix is not None:

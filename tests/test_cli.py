@@ -397,6 +397,23 @@ point = word:{point}
     assert float(row["rel_error"]) <= 0.05
 
 
+def test_brin_katok_refuses_a_word_shorter_than_its_bowen_balls(tmp_path,
+                                                                capsys):
+    # the default window reaches n = 14 at eps = 0.01, whose open ball pins
+    # 5 symbols: 18 in all, so 7 symbols cannot fix the cylinders
+    cfg = write_config(tmp_path / "bk.ini", """
+[experiment]
+kind = brin-katok
+system = fullshift:2
+measure = bernoulli:0.50,0.50
+point = word:0101101
+""")
+    assert run_cli(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "too short" in err and "pin 18 symbols" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("system, omega, want", [
     ("tripling", 0.5, math.log(3.0) - 0.5),
     ("iterate:tripling:2", 0.5, math.log(9.0) - 0.5),

@@ -430,19 +430,25 @@ def test_window_design_is_cached_per_n_tuple():
     assert (info.misses, info.currsize) == (1, 1)
 
 
-@pytest.mark.parametrize("sys_id", ["cat", "toral:2,0;0,3"])
-def test_toral_curve_takes_one_eigendecomposition(monkeypatch, sys_id):
-    calls = []
+@pytest.mark.parametrize("sys_id,eigs", [
+    pytest.param("cat", [], id="cat"),
+    pytest.param("toral:2,0;0,3", [], id="toral:2,0;0,3"),
+    pytest.param("toral:2,1,0;1,1,0;0,0,3", ["eig"],
+                 id="toral:2,1,0;1,1,0;0,0,3")])
+def test_toral_curve_takes_one_eigendecomposition(monkeypatch, sys_id, eigs):
+    # a 2-torus takes its eigen data in closed form, a larger one from one
+    # eig when it is built; no curve or call takes another
+    calls, resolved = [], get_system(sys_id)
     for name in ("eig", "eigvals"):
         def counted(a, fn=getattr(np.linalg, name), name=name):
             calls.append(name)
             return fn(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    sys, z = get_system(sys_id), torus(0.1, 0.2)
-    # one when the system is built, none per curve or per call
-    assert calls == ["eig"]
+    # a copy is built anew, where get_system keeps the system it resolved
+    sys, z = dataclasses.replace(resolved), torus(0.1, 0.2)
+    assert calls == eigs
     translocal_entropy(sys, z, 0.3)
     restricted_entropy(sys, Ball(z, 0.3))
     lyapunov_exponent(sys, z, 10)
-    assert calls == ["eig"]
+    assert calls == eigs

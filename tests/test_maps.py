@@ -124,8 +124,7 @@ def test_torus_iterate_is_the_map_of_the_matrix_power():
     assert cat2.base is None and cat2.matrix == direct.matrix
     assert cat2.spectrum == direct.spectrum
     assert cat2.h_top == direct.h_top
-    assert [v.tolist() for v in cat2.expanding] \
-        == [v.tolist() for v in direct.expanding]
+    assert cat2.expanding == direct.expanding
     pts = np.random.default_rng(3).random((64, 2))
     assert cat2.step_many(pts).tobytes() == direct.step_many(pts).tobytes()
     # A^r in exact integers (the cat map's are Fibonacci numbers, F(77)
@@ -133,6 +132,18 @@ def test_torus_iterate_is_the_map_of_the_matrix_power():
     assert get_system("iterate:cat:38").matrix[0][0] == 5527939700884757
     with pytest.raises(ValueError, match="beyond 2"):
         get_system("iterate:cat:39")
+
+
+def test_parameterised_ids_are_built_once():
+    # a resolved id is kept, as a catalogue map is; so are the ids it
+    # resolves through
+    assert get_system("cat") is get_system("toral:2,1;1,1")
+    assert get_system("iterate:tripling:6") is get_system("iterate:tripling:6")
+    assert get_system("fullshift:3") is get_system("fullshift:3")
+    # an id that fails to resolve is not kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 2 symbols"):
+            get_system("fullshift:1")
 
 
 def test_log_derivative_sum_uniform_expansion():

@@ -21,7 +21,8 @@ from translocal.maps import (ZERO_POTENTIAL, birkhoff_sum, catalogue_ids,
 from translocal.measures import (ball_measure, bowen_ball_measure,
                                  brin_katok, certified_invariant, get_measure,
                                  local_pressure, translocal_local_pressure)
-from translocal.spaces import Ball, circle, interval, torus, word
+from translocal.spaces import (SYMBOLIC, Ball, Metric, circle, interval,
+                               pinned_symbols, torus, word)
 
 LOG3 = math.log(3.0)
 
@@ -75,6 +76,19 @@ NUMPY_FREE_CALLS = (
     "symbolic.get_family('codedshift:linear:1,0'), 12)",
     "pressure.critical_exponent(get_system('g3branch'), "
     "pressure.whole_circle(), get_potential('zero'), r=0.05)",
+    # a 2-torus takes its eigen data in closed form and its powers in
+    # exact integers
+    "get_system('cat')",
+    "entropy.translocal_entropy(get_system('cat'), torus(0.1, 0.2), 0.3)",
+    "entropy.restricted_entropy(get_system('cat'), "
+    "Ball(torus(0.1, 0.2), 0.3))",
+    "entropy.lyapunov_exponent(get_system('cat'), torus(0.1, 0.2), 10)",
+    "measures.brin_katok(get_system('cat'), "
+    "measures.get_measure('lebesgue-torus'), torus(0.1, 0.2))",
+    "measures.local_pressure(get_system('toral:2,0;0,3'), "
+    "measures.get_measure('lebesgue-torus'), get_potential('constant:0.4'), "
+    "torus(0.1, 0.2))",
+    "get_system('iterate:cat:2')",
 )
 
 
@@ -86,7 +100,7 @@ def _numpy_loaded_after(calls) -> list:
         "import translocal.cli",
         "from translocal import entropy, measures, pressure, symbolic",
         "from translocal.maps import get_potential, get_system",
-        "from translocal.spaces import Ball, circle, interval",
+        "from translocal.spaces import Ball, circle, interval, torus",
         "leb = measures.get_measure('lebesgue-circle')",
         "for call in sys.argv[1:]:",
         "    exec(call)",
@@ -103,10 +117,6 @@ def test_scalar_paths_load_no_numpy():
     loaded = _numpy_loaded_after(NUMPY_FREE_CALLS)
     assert dict(zip(NUMPY_FREE_CALLS, loaded)) \
         == dict.fromkeys(NUMPY_FREE_CALLS, False)
-
-
-def test_a_torus_map_loads_numpy():
-    assert _numpy_loaded_after(["get_system('cat')"]) == [True]
 
 
 def test_invariance_certificates():
@@ -313,10 +323,31 @@ def test_bernoulli_masses_are_the_pinned_weights(radius, closed_pins,
     assert ball_measure(mu, Ball(x, radius)) == weights(closed_pins)
     assert ball_measure(mu, Ball(x, radius, closed=False)) \
         == weights(open_pins)
-    # the Bowen ball of radius eps pins n - 1 more symbols than the open ball
+    # the Bowen ball of radius eps pins n - 1 more symbols than the open
+    # ball; a word shorter than that is refused
     for n in (1, 2, 5, 9):
-        assert bowen_ball_measure(sys, mu, x, n, radius) \
-            == weights(min(n - 1 + open_pins, len(symbols)))
+        if n - 1 + open_pins > len(symbols):
+            with pytest.raises(ValueError, match="too short"):
+                bowen_ball_measure(sys, mu, x, n, radius)
+        else:
+            assert bowen_ball_measure(sys, mu, x, n, radius) \
+                == weights(n - 1 + open_pins)
+
+
+def test_a_word_shorter_than_its_bowen_balls_is_refused():
+    # the window's balls pin max(n) - 1 symbols more than the open eps-ball
+    sys, mu = get_system("fullshift:2"), get_measure("bernoulli:0.5,0.5")
+    eps = DEFAULT_SCHEDULE.epsilons[-1]
+    pins = pinned_symbols(Ball(word([0] * 64), eps, closed=False),
+                          Metric(SYMBOLIC, alphabet=2))
+    need = max(DEFAULT_SCHEDULE.n_values) - 1 + pins
+    symbols = [0, 1] * need
+    for short in ([0, 1, 0, 1, 1, 0, 1], symbols[:need - 1]):
+        with pytest.raises(ValueError, match=f"pin {need} symbols"):
+            brin_katok(sys, mu, word(short))
+    up, lo = brin_katok(sys, mu, word(symbols[:need]))
+    assert up.value == pytest.approx(math.log(2.0))
+    assert lo.value == pytest.approx(math.log(2.0))
 
 
 def _ref_toral_bowen_measure(sys, n, eps):
@@ -351,11 +382,11 @@ def test_bowen_ball_measure_without_a_backend_is_rejected(sys_id, measure_id,
 
 
 # one case per Bowen-mass backend: the Dirac mass at the fixed point 1/2,
-# a Bernoulli cylinder capped by the word's length, a Lebesgue arc and a
-# toral box
+# a Bernoulli cylinder, a Lebesgue arc and a toral box
 BACKEND_CASES = [
     ("tripling", "dirac:circle:0.5", circle(0.5001)),
-    ("fullshift:3", "bernoulli:0.2,0.3,0.5", word([2, 0, 1, 1, 0, 2, 2, 1])),
+    ("fullshift:3", "bernoulli:0.2,0.3,0.5",
+     word([2, 0, 1, 1, 0, 2, 2, 1] * 3)),
     ("g3branch", "lebesgue-circle", circle(0.3141)),
     ("cat", "lebesgue-torus", torus(0.1, 0.2))]
 

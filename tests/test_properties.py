@@ -224,6 +224,64 @@ def _real_eigenbasis(matrix):
     return out
 
 
+# 2x2 matrices whose eigen data is taken in closed form: hyperbolic,
+# diagonal, repeated, defective, with a negative eigenvalue, and complex
+CLOSED_FORM_MATRICES = ["2,1;1,1", "2,0;0,3", "5,3;3,2", "2,0;0,2", "2,1;0,2",
+                        "0,1;1,-1", "1,-1;1,1", "2,-3;3,2"]
+
+
+@pytest.mark.parametrize("matrix", CLOSED_FORM_MATRICES)
+def test_closed_form_eigen_data_is_the_eig_reference(matrix):
+    sys = get_system(f"toral:{matrix}")
+    want = _real_eigenbasis(sys.matrix)
+    moduli = [m for m, mult in sys.spectrum for _ in range(mult)]
+    assert moduli == pytest.approx([m for m, _ in want], rel=1e-12, abs=1e-12)
+    assert sys.h_top == pytest.approx(
+        sum(math.log(m) for m, _ in want if m > 1.0), rel=1e-12, abs=1e-12)
+    expanding = [v for m, v in want if m > 1.0 + 1e-12]
+    assert len(sys.expanding) == len(expanding)
+    for got, ref in zip(sys.expanding, expanding):
+        assert all(isinstance(x, float) for x in got)
+        # the same direction, up to sign
+        sign = 1.0 if np.dot(got, ref) >= 0 else -1.0
+        assert np.abs(sign * np.asarray(got) - ref).max() <= 1e-12, (got, ref)
+
+
+def test_a_larger_torus_keeps_its_eig_spectrum():
+    # d >= 3 keeps the one eigendecomposition: the spectrum is its merged
+    # moduli as they come, h_top log 3 + 2 log(golden ratio)
+    sys = get_system("toral:2,1,0;1,1,0;0,0,3")
+    moduli = sorted(np.abs(np.linalg.eigvals(np.asarray(sys.matrix, float))),
+                    reverse=True)
+    assert sys.spectrum == tuple((float(m), 1) for m in moduli)
+    assert sys.h_top == math.log(moduli[0]) + math.log(moduli[1])
+    assert sys.h_top == pytest.approx(math.log(3.0) + math.log(
+        (3.0 + math.sqrt(5.0)) / 2.0), rel=1e-12)
+    assert len(sys.expanding) == 2
+
+
+def _matrix_power_log_counts(sys, radius, n, epsilons):
+    """The toral cell as it was counted from a float matrix power."""
+    power = np.linalg.matrix_power(np.asarray(sys.matrix, dtype=float), n - 1)
+    tvs = [2 * min(radius, 0.5) * float(np.abs(power @ np.asarray(vec)).max())
+           * (1.0 - 1e-12) for vec in sys.expanding]
+    return [sum(math.log(int(tv / eps) + 1) for tv in tvs)
+            for eps in epsilons]
+
+
+@pytest.mark.parametrize("sys_id", ["cat", "toral:2,0;0,3", "iterate:cat:2",
+                                    "toral:2,1,0;1,1,0;0,0,3"])
+def test_toral_cells_are_the_float_matrix_power_counts(sys_id):
+    # exact integer powers give the counts of the float matrix power while
+    # its entries are exact floats
+    sys, epsilons = get_system(sys_id), (0.05, 0.02, 0.01)
+    for radius in (1e-3, 0.05, 0.3, 0.75):
+        ball = Ball(torus(*[0.1] * sys.dim), radius)
+        for n in range(1, 13):
+            assert cell_log_counts(sys, ball, n, epsilons) \
+                == _matrix_power_log_counts(sys, radius, n, epsilons)
+
+
 def _line_scan_log_count(sys, ball, n, eps):
     """The sampled toral cell the closed form replaced: a uniform line scan
     along each expanding direction, fine enough that every image gap is
