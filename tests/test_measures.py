@@ -119,6 +119,13 @@ def test_scalar_paths_load_no_numpy():
         == dict.fromkeys(NUMPY_FREE_CALLS, False)
 
 
+def test_a_torus_map_loads_numpy():
+    # a 2-torus takes its eigendata in closed form; d >= 3 keeps
+    # np.linalg.eig, so building one loads numpy
+    assert _numpy_loaded_after(
+        ["get_system('toral:2,1,0;1,1,0;0,0,3')"]) == [True]
+
+
 def test_invariance_certificates():
     leb = get_measure("lebesgue-circle")
     assert certified_invariant(get_system("tripling"), leb)
