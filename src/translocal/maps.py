@@ -483,10 +483,6 @@ def _catalogue() -> dict[str, System]:
 
 _CATALOGUE = _catalogue()
 
-CAT_MATRIX = ((2, 1), (1, 1))
-# each parameterised id is built once, as the catalogue maps are
-_RESOLVED: dict[str, System] = {}
-
 
 def get_system(spec_id: str) -> System:
     """Resolve a string identifier into a System.
@@ -497,12 +493,6 @@ def get_system(spec_id: str) -> System:
     """
     if spec_id in _CATALOGUE:
         return _CATALOGUE[spec_id]
-    if spec_id not in _RESOLVED:
-        _RESOLVED[spec_id] = _resolve(spec_id)
-    return _RESOLVED[spec_id]
-
-
-def _resolve(spec_id: str) -> System:
     if spec_id == "cat":
         return get_system("toral:2,1;1,1")
     if spec_id.startswith("toral:"):

@@ -19,7 +19,7 @@ from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
                    evaluate, full_branch_slopes, point_orbit)
 from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
-                     pinned_symbols)
+                     pinned_symbols, radius_pins)
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ def _bowen_backend(sys: System, mu: Measure, x: Point, ns: list,
                 else 0.0 for n in ns]
     if mu.variant == "bernoulli":
         # the Bowen ball pins n - 1 more symbols than the open ball
-        pins = pinned_symbols(Ball(x, eps, closed=False),
-                              Metric(SYMBOLIC, alphabet=len(mu.p)))
+        pins = radius_pins(Ball(x, eps, closed=False),
+                           Metric(SYMBOLIC, alphabet=len(mu.p)))
         masses = _cylinder_masses(mu, x.word, max(ns) - 1 + pins)
         return [masses[n - 1 + pins] for n in ns]
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:

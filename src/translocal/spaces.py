@@ -196,17 +196,23 @@ def sample_grid(ball: Ball, resolution: float,
     raise SpaceMismatchError(f"unknown space {space!r}")
 
 
-def pinned_symbols(ball: Ball, metric: Metric) -> int:
-    """How many leading symbols of the centre every word of a symbolic ball
-    shares, as fixed by the ball's radius.  The open unit ball pins one:
-    words that differ at index 0 are at distance exactly 1."""
+def radius_pins(ball: Ball, metric: Metric) -> int:
+    """How many leading symbols a symbolic ball's radius fixes, however long
+    its centre word.  The open unit ball pins one: words that differ at
+    index 0 are at distance exactly 1."""
     if ball.radius > 1.0:
         return 0
     beta = metric.beta
     m_fixed = math.ceil(math.log(1.0 / ball.radius) / math.log(beta) - _EPS)
     if not ball.closed and beta ** (-m_fixed) >= ball.radius:
         m_fixed += 1
-    return min(m_fixed, len(ball.center.word))
+    return m_fixed
+
+
+def pinned_symbols(ball: Ball, metric: Metric) -> int:
+    """How many leading symbols of the centre every word of a symbolic ball
+    shares: the radius's pins, at most the centre word's length."""
+    return min(radius_pins(ball, metric), len(ball.center.word))
 
 
 def symbolic_grid(ball: Ball, resolution: float, metric: Metric,

@@ -438,15 +438,14 @@ def test_window_design_is_cached_per_n_tuple():
 def test_toral_curve_takes_one_eigendecomposition(monkeypatch, sys_id, eigs):
     # a 2-torus takes its eigen data in closed form, a larger one from one
     # eig when it is built; no curve or call takes another
-    calls, resolved = [], get_system(sys_id)
+    calls = []
     for name in ("eig", "eigvals"):
         def counted(a, fn=getattr(np.linalg, name), name=name):
             calls.append(name)
             return fn(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    # a copy is built anew, where get_system keeps the system it resolved
-    sys, z = dataclasses.replace(resolved), torus(0.1, 0.2)
+    sys, z = get_system(sys_id), torus(0.1, 0.2)
     assert calls == eigs
     translocal_entropy(sys, z, 0.3)
     restricted_entropy(sys, Ball(z, 0.3))

@@ -134,18 +134,6 @@ def test_torus_iterate_is_the_map_of_the_matrix_power():
         get_system("iterate:cat:39")
 
 
-def test_parameterised_ids_are_built_once():
-    # a resolved id is kept, as a catalogue map is; so are the ids it
-    # resolves through
-    assert get_system("cat") is get_system("toral:2,1;1,1")
-    assert get_system("iterate:tripling:6") is get_system("iterate:tripling:6")
-    assert get_system("fullshift:3") is get_system("fullshift:3")
-    # an id that fails to resolve is not kept
-    for _ in range(2):
-        with pytest.raises(ValueError, match="at least 2 symbols"):
-            get_system("fullshift:1")
-
-
 def test_log_derivative_sum_uniform_expansion():
     sys = get_system("tripling")
     assert log_derivative_sum(sys, circle(0.1234), 6) == pytest.approx(6 * LOG3)

@@ -342,14 +342,15 @@ def test_bernoulli_masses_are_the_pinned_weights(radius, closed_pins,
 
 
 def test_a_word_shorter_than_its_bowen_balls_is_refused():
-    # the window's balls pin max(n) - 1 symbols more than the open eps-ball
+    # the window's balls pin max(n) - 1 symbols more than the open eps-ball,
+    # whose own pins count in full for a word shorter than them
     sys, mu = get_system("fullshift:2"), get_measure("bernoulli:0.5,0.5")
     eps = DEFAULT_SCHEDULE.epsilons[-1]
     pins = pinned_symbols(Ball(word([0] * 64), eps, closed=False),
                           Metric(SYMBOLIC, alphabet=2))
     need = max(DEFAULT_SCHEDULE.n_values) - 1 + pins
     symbols = [0, 1] * need
-    for short in ([0, 1, 0, 1, 1, 0, 1], symbols[:need - 1]):
+    for short in ([0, 1, 0], [0, 1, 0, 1, 1, 0, 1], symbols[:need - 1]):
         with pytest.raises(ValueError, match=f"pin {need} symbols"):
             brin_katok(sys, mu, word(short))
     up, lo = brin_katok(sys, mu, word(symbols[:need]))
