@@ -57,7 +57,7 @@ class System:
     (None where curved); `singular_ends` flags each branch's (lo, hi) ends
     that are kinks, where the one-sided |slopes| differ; `uniform_slope` is
     s when every branch is affine with |slope| s; `h_top` is log k when all
-    k branches map onto the unit domain; `max_log_slope` is None where
+    k branches map onto [0, 1]; `max_log_slope` is None where
     log|f'| is unbounded.  Of a matrix: `spectrum` is its eigenvalue
     moduli with algebraic multiplicities, descending, and `expanding` the
     sup-normalised real directions of its eigenvalues of modulus above 1
@@ -79,7 +79,6 @@ class System:
     cuts: tuple = _derived(())
     log_slopes: tuple = _derived(())
     singular_ends: tuple = _derived(())
-    domains: frozenset = _derived(frozenset())
     uniform_slope: float | None = _derived()
     h_top: float | None = _derived()
     max_log_slope: float | None = _derived()
@@ -292,15 +291,16 @@ def int_matmul(a, b) -> tuple:
 # Monotone branch tables (1D maps)
 #
 # Every 1D catalogue map is a union of continuous monotone branches, each
-# mapping its domain interval onto a canonical interval ("unit" = [0, 1],
-# ("band", m) = [2^-m, 2^(1-m)] for the staircase, "frozen" for its frozen
-# tail).  The table is the map: stepping, derivatives and exact
-# image-variation computations all read it, with no sampling.
+# mapping its domain interval onto an image interval: [0, 1] for a full
+# branch, [2^-m, 2^(1-m)] for a lap of the staircase's band m, and
+# [0, 2^-12] for its frozen floor.  The table is the map: stepping,
+# derivatives and exact image-variation computations all read it, with no
+# sampling.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Branch:
-    """One monotone branch: `fn` maps [lo, hi] onto the canonical domain,
+    """One monotone branch: `fn` maps [lo, hi] onto the interval `image`,
     on a float or elementwise on an array.  `slope` is fn's constant
     derivative when fn is affine; a curved branch has slope None, gives
     log|fn'| as `log_slope`, monotone on [lo, hi], and its one-sided values
@@ -309,13 +309,13 @@ class Branch:
     lo: float
     hi: float
     fn: Callable
-    canonical: tuple
+    image: tuple
     slope: float | None = None
     log_slope: Callable | None = None
     end_log_slopes: tuple = ()
 
 
-_UNIT = ("unit",)
+_UNIT = (0.0, 1.0)
 
 
 def _table_rules(table: tuple, space: str) -> dict:
@@ -366,10 +366,9 @@ def _table_rules(table: tuple, space: str) -> dict:
         "step": step, "step_many": step_many,
         "log_slope_many": log_slope_many, "cuts": cuts, "log_slopes": logs,
         "singular_ends": tuple(zip(kink, kink[1:] + kink[:1])),
-        "domains": frozenset(br.canonical for br in table),
         "uniform_slope": slopes.pop() if len(slopes) == 1 else None,
         "h_top": (math.log(len(table))
-                  if all(br.canonical == _UNIT for br in table) else None),
+                  if all(br.image == _UNIT for br in table) else None),
         "max_log_slope": top if math.isfinite(top) else None,
     }
 
@@ -402,9 +401,9 @@ def _repeat(f, r):
     return f_r
 
 
-def _affine(lo, hi, slope, intercept, canonical=_UNIT):
-    """The affine branch x -> slope * x + intercept on [lo, hi]."""
-    return Branch(lo, hi, lambda x: slope * x + intercept, canonical, slope)
+def _affine(lo, hi, slope, intercept):
+    """The full affine branch x -> slope * x + intercept on [lo, hi]."""
+    return Branch(lo, hi, lambda x: slope * x + intercept, _UNIT, slope)
 
 
 def _sqrt(y):
@@ -441,14 +440,15 @@ def _staircase_lap_fn(base, laps, j):
 
 def _staircase_branches() -> tuple:
     floor_cut = 2.0 ** (-STAIRCASE_LEVEL_CAP)
-    out = [Branch(0.0, floor_cut, lambda x: x, ("frozen",), 1.0)]
+    out = [Branch(0.0, floor_cut, lambda x: x, (0.0, floor_cut), 1.0)]
     for m in range(1, STAIRCASE_LEVEL_CAP + 1):
         base = 2.0 ** (-m)
         laps = 2 * m + 1
         width = base / laps
         for j in range(laps):
             out.append(Branch(base + j * width, base + (j + 1) * width,
-                              _staircase_lap_fn(base, laps, j), ("band", m),
+                              _staircase_lap_fn(base, laps, j),
+                              (base, 2.0 * base),
                               float(laps if j % 2 == 0 else -laps)))
     out.sort(key=lambda br: br.lo)
     return tuple(out)
@@ -550,7 +550,7 @@ def iterate_system(sys: System, r: int) -> System:
 
 def _compose(first: tuple, then: tuple) -> tuple:
     """The table of `then` applied after `first`, for a circle map.  Each
-    branch a of `first` is affine and increasing onto the unit domain, so
+    branch a of `first` is affine and increasing onto [0, 1], so
     it maps about [a.lo + b.lo / a.slope, a.lo + b.hi / a.slope] onto b's
     domain; there the composed branch runs a's fn, then b's, with slope
     a.slope * b.slope."""
@@ -599,30 +599,13 @@ def monotone_branches(sys: System, lo: float, hi: float) -> tuple:
 
 def full_branch_slopes(sys: System) -> tuple | None:
     """|slope| of each branch when `sys` is a circle map whose every branch
-    is affine onto the unit domain, else None.  Such a map preserves
+    is affine onto [0, 1], else None.  Such a map preserves
     Lebesgue measure: its branches partition the circle, so the sum of
     1/|slope| is 1."""
     if sys.space != CIRCLE or not sys.branches or any(
-            br.slope is None or br.canonical != _UNIT for br in sys.branches):
+            br.slope is None or br.image != _UNIT for br in sys.branches):
         return None
     return tuple(abs(br.slope) for br in sys.branches)
-
-
-def canonical_growth(sys: System, canonical: tuple, k: int) -> float:
-    """Image variation of f^k over a canonical domain of `sys`'s table."""
-    if k < 0:
-        raise ValueError("negative iterate count")
-    if canonical not in sys.domains:
-        raise ValueError(
-            f"system {sys.name!r} has no branch onto {canonical!r}")
-    kind = canonical[0]
-    if kind == "frozen":
-        return 2.0 ** (-STAIRCASE_LEVEL_CAP)
-    if kind == "band":
-        m = canonical[1]
-        return (2 * m + 1) ** k * 2.0 ** (-m)
-    # "unit" branches come only in full-branch tables, each covering [0, 1]
-    return float(len(sys.branches)) ** k
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
                    evaluate, full_branch_slopes, point_orbit)
 from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
-                     pinned_symbols, radius_pins)
+                     radius_pins)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def ball_measure(mu: Measure, ball: Ball) -> float:
         side = min(2.0 * ball.radius, 1.0)
         return side ** len(ball.center.coords)
     if mu.variant == "bernoulli":
-        m = pinned_symbols(ball, Metric(SYMBOLIC, alphabet=len(mu.p)))
+        m = radius_pins(ball, Metric(SYMBOLIC, alphabet=len(mu.p)))
         return _cylinder_masses(mu, ball.center.word, m)[m]
     if mu.variant == "dirac":
         m = Metric(mu.space, alphabet=2)
@@ -299,5 +299,8 @@ def translocal_local_pressure(sys: System, mu: Measure, pot: Potential,
         raise ValueError("omega must be >= 0")
     # the series does not depend on eps: one fit, reported at the last eps
     ns = sched.n_values
-    masses = [ball_measure(mu, Ball(x, math.exp(-omega * n))) for n in ns]
+    # the smallest ball first: a word too short for it is refused with the
+    # most symbols any ball of the window pins
+    masses = [ball_measure(mu, Ball(x, math.exp(-omega * n)))
+              for n in reversed(ns)][::-1]
     return _local_rates(sys, pot, x, ns, masses, sched.epsilons[-1])

@@ -343,8 +343,6 @@ def _log_weight_trend(weights, variant: str) -> float:
     data = [(N, math.log(max(w, 1e-300))) for N, w in weights]
     if variant == "translocal-upper":
         return growth_rate(data, "limsup").value
-    if variant == "translocal-lower":
-        return growth_rate(data, "liminf").value
     ns = tuple([N for N, _ in data])
     return _window_slope(_window(ns, 0, len(ns)), [y for _, y in data])[0]
 
@@ -363,10 +361,12 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
     is bisected down to `_S_TOL`.  One level table, for levels
     min(n_window) .. max(n_window) + 4, serves every weight of the
     search."""
+    if variant not in ("bowen-ball", "translocal-upper"):
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "bowen-ball" and r is None:
         raise ValueError("bowen-ball variant needs a radius r")
-    if variant.startswith("translocal") and omega is None:
-        raise ValueError("translocal variants need omega")
+    if variant == "translocal-upper" and omega is None:
+        raise ValueError("translocal-upper variant needs omega")
     _require_distinct(n_window)
     extent = (_bowen_extent(r) if variant == "bowen-ball"
               else _metric_extent(omega))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import spaces
 from .errors import SpaceMismatchError
-from .maps import System, canonical_growth, monotone_branches, orbit_coords
+from .maps import System, monotone_branches, orbit_coords
 from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Metric, Point
 
 _PAIRWISE_LIMIT = 4000
@@ -259,14 +259,17 @@ def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
     system.  On a table whose branches are all affine with |slope| s,
     |(f^(n-1))'| = s^(n-1) everywhere, so the variation is
     (hi - lo) * s^(n-1) in closed form.
-    Any other table is walked: the interval is pushed forward through the
-    monotone branches, branches covered in full contribute a closed-form
-    growth factor, and only the two end fragments are tracked, so the cost
-    is linear in max(n_values).  The fragments do not depend on n, so each
-    n keeps its own running total of the full-branch growths, in walk
-    order, and is read off after its n - 1 steps: each value is the one a
-    walk to that n alone gives, bit for bit.  Both resolve image laps far
-    below any feasible sample resolution.
+    Any other table is walked: the image of [lo, hi] under f^k is held as
+    fragments (a, b) with multiplicities, and each step pushes every
+    fragment through the branches it meets.  A branch covered in full (an
+    affine one up to 1e-12 of its width) gives its image interval; any
+    other piece gives its image clamped to the branch's image interval, so
+    rounding cannot carry a sliver across a band edge into a faster band.
+    Equal fragments
+    merge, so a walk holds a few fragments and its cost is linear in
+    max(n_values).  The value for n is the sum of multiplicity * (b - a)
+    after n - 1 steps: each value is the one a walk to that n alone gives,
+    bit for bit.
     """
     ns = tuple(n_values)
     if ns and min(ns) < 1:
@@ -281,40 +284,34 @@ def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
         raise ValueError(f"system {sys.name!r} has no monotone branch table")
     if sys.uniform_slope is not None:
         return [(hi - lo) * sys.uniform_slope ** (n - 1) for n in ns]
-    last = max(ns, default=1) - 1
-    totals = [0.0] * len(ns)
-    out = [None] * len(ns)
-    partials = [(float(lo), float(hi))]
-    for step in range(last + 1):
-        for i, n in enumerate(ns):
-            if n - 1 == step:
-                out[i] = totals[i] + sum(b - a for a, b in partials)
-        if step == last:
-            break
-        nxt, full = [], []
-        for a, b in partials:
-            if b - a <= 0.0:
-                continue
-            for br in monotone_branches(sys, a, b):
-                s, e = max(a, br.lo), min(b, br.hi)
-                if e <= s:
-                    continue
-                tol = 1e-12 * (br.hi - br.lo)
-                if s <= br.lo + tol and e >= br.hi - tol:
-                    full.append(br.canonical)
-                else:
-                    fa, fb = br.fn(s), br.fn(e)
-                    if fb < fa:
-                        fa, fb = fb, fa
-                    nxt.append((fa, fb))
-        partials = nxt
-        for i, n in enumerate(ns):
-            if n - 2 >= step:
-                total = totals[i]
-                for canonical in full:
-                    total += canonical_growth(sys, canonical, n - 2 - step)
-                totals[i] = total
-    return out
+    values = {}
+    frags = {(float(lo), float(hi)): 1}
+    for n in range(1, max(ns, default=1) + 1):
+        if n > 1:
+            nxt = {}
+            for (a, b), mult in frags.items():
+                for br in monotone_branches(sys, a, b):
+                    s, e = max(a, br.lo), min(b, br.hi)
+                    if e <= s:
+                        continue
+                    # float images land a few ULPs off affine lap ends; a
+                    # curved branch is full only at its exact ends, as its
+                    # slope may be unbounded there
+                    tol = 0.0 if br.slope is None else 1e-12 * (br.hi - br.lo)
+                    if s <= br.lo + tol and e >= br.hi - tol:
+                        piece = br.image
+                    else:
+                        fa, fb = br.fn(s), br.fn(e)
+                        if fb < fa:
+                            fa, fb = fb, fa
+                        piece = (max(fa, br.image[0]), min(fb, br.image[1]))
+                        if piece[1] <= piece[0]:
+                            continue
+                    nxt[piece] = nxt.get(piece, 0) + mult
+            frags = nxt
+        if n in ns:
+            values[n] = sum(m * (b - a) for (a, b), m in frags.items())
+    return [values[n] for n in ns]
 
 
 # ---------------------------------------------------------------------------

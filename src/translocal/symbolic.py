@@ -1,7 +1,6 @@
 """Coded shift spaces: code-word families over {0,1,2}, exact language
-counting via a determinized position automaton on int bitmasks, entropy
-from the Kraft equation, and the three special sequences u, v, w used in
-the examples.
+counting via a determinized position automaton on int bitmasks, and
+entropy from the Kraft equation.
 
 The automaton is determinized lazily and kept per family: each bitmask
 state met gets an integer id and a row of successor ids the first time
@@ -19,11 +18,8 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (BudgetExceededError, HorizonExceededError,
-                     NoPositiveRootError)
-from .spaces import Point, word
+from .errors import BudgetExceededError, NoPositiveRootError
 
-_UVW_CAP = 1_000_000
 _MAX_POSITIONS = 200_000
 # the code words of a gap-rule family that its language automaton holds
 _MAX_WORDS = 64
@@ -406,43 +402,3 @@ def language_membership(fam: CodeWordFamily, wrd) -> bool:
         if not state:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# The sequences u, v, w
-# ---------------------------------------------------------------------------
-
-def make_uvw(horizon: int) -> tuple[Point, Point, Point]:
-    """The three sequences with factorial block structure.
-
-    w is constant 0.  v consists of blocks of length j! - (j-1)! (j >= 2)
-    preceded by a single leading 1, filled with 1s for odd j and 0s for even
-    j.  u alternates all-1 blocks (even j, and an initial 1^{2!}) with
-    prefixes of v (odd j), so u shadows v on ever longer stretches.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > _UVW_CAP:
-        raise HorizonExceededError(
-            f"horizon {horizon} beyond sequence cap {_UVW_CAP}")
-    v: list[int] = [1]
-    j = 2
-    while len(v) < horizon:
-        block = math.factorial(j) - math.factorial(j - 1)
-        v.extend([1 if j % 2 == 1 else 0] * block)
-        j += 1
-    v = v[:horizon]
-
-    u: list[int] = [1, 1]          # 1^{2!}
-    j = 3
-    while len(u) < horizon:
-        block = math.factorial(j) - math.factorial(j - 1)
-        if j % 2 == 1:
-            u.extend(v[:block])
-        else:
-            u.extend([1] * block)
-        j += 1
-    u = u[:horizon]
-
-    w = [0] * horizon
-    return word(u), word(v), word(w)

@@ -4,6 +4,7 @@ Each test pins one headline quantity of the library to its analytic value
 with an explicit tolerance.  These are the checks a release must pass.
 """
 import math
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_staircase_local_entropy_steps_by_level():
     for x, expect in cases:
         est = yz_entropy_function(sys, x)
         assert rel_err(est.value, expect) <= 0.10
+
+
+@pytest.mark.parametrize("x,laps", [(0.7, 3), (0.62, 3), (0.3, 5), (0.2, 7)])
+def test_staircase_local_entropy_holds_at_long_windows(x, laps):
+    # float images of the laps' non-dyadic ends must not leak slivers into
+    # faster bands however long the walk; the walk keeps a few merged
+    # fragments, so a call stays far below a second
+    sched = Schedule(n_values=tuple(range(50, 201, 10)))
+    start = time.perf_counter()
+    est = yz_entropy_function(get_system("staircase"), interval(x),
+                              sched=sched)
+    assert time.perf_counter() - start < 1.0
+    assert abs(est.value - math.log(laps)) <= 0.01
 
 
 def test_local_measure_decay_rates():

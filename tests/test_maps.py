@@ -8,9 +8,10 @@ import pytest
 
 from translocal import maps, spaces
 from translocal.errors import SingularOrbitError
-from translocal.maps import (Potential, canonical_growth, evaluate,
-                             get_potential, get_system, iterate_system,
-                             log_derivative_sum, monotone_branches, orbit)
+from translocal.maps import (STAIRCASE_LEVEL_CAP, Potential, evaluate,
+                             full_branch_slopes, get_potential, get_system,
+                             iterate_system, log_derivative_sum,
+                             monotone_branches, orbit)
 from translocal.spaces import circle, interval, torus, word
 
 LOG3 = math.log(3.0)
@@ -246,19 +247,29 @@ def test_monotone_branches_tripling():
     branches = monotone_branches(sys, 0.0, 1.0)
     assert len(branches) == 3
     for b in branches:
-        assert b.canonical == ("unit",)
+        assert b.image == (0.0, 1.0)
         assert b.fn(b.lo) == pytest.approx(0.0, abs=1e-12)
         assert b.fn(b.hi) == pytest.approx(1.0, abs=1e-12)
-    assert canonical_growth(sys, ("unit",), 2) == pytest.approx(9.0)
+    assert full_branch_slopes(sys) == (3.0, 3.0, 3.0)
 
 
-def test_canonical_growth_rejects_domains_outside_the_table():
+def test_branch_images_are_the_intervals_the_branches_map_onto():
     staircase = get_system("staircase")
-    assert canonical_growth(staircase, ("band", 2), 1) == pytest.approx(1.25)
-    with pytest.raises(ValueError):
-        canonical_growth(staircase, ("unit",), 2)
-    with pytest.raises(ValueError):
-        canonical_growth(get_system("tripling"), ("band", 2), 1)
+    floor = 2.0 ** -STAIRCASE_LEVEL_CAP
+    assert staircase.branches[0].image == (0.0, floor)
+    bands = {}
+    for b in staircase.branches[1:]:
+        bands.setdefault(b.image, []).append(b)
+        ends = sorted((b.fn(b.lo), b.fn(b.hi)))
+        assert ends == pytest.approx(list(b.image), rel=1e-12)
+    # band m's 2m + 1 laps all map onto [2^-m, 2^(1-m)]
+    assert sorted(bands, reverse=True) == [
+        (2.0 ** -m, 2.0 ** (1 - m)) for m in range(1, STAIRCASE_LEVEL_CAP + 1)]
+    for (lo, _), laps in bands.items():
+        assert len(laps) == 2 * round(-math.log2(lo)) + 1
+    # no branch maps onto [0, 1], so the staircase is no full-branch map
+    assert staircase.h_top is None and full_branch_slopes(staircase) is None
+    assert get_system("tripling").h_top == pytest.approx(LOG3)
 
 
 def test_geometric_potential_values():

@@ -22,7 +22,7 @@ from translocal.measures import (ball_measure, bowen_ball_measure,
                                  brin_katok, certified_invariant, get_measure,
                                  local_pressure, translocal_local_pressure)
 from translocal.spaces import (SYMBOLIC, Ball, Metric, circle, interval,
-                               pinned_symbols, torus, word)
+                               pinned_symbols, radius_pins, torus, word)
 
 LOG3 = math.log(3.0)
 
@@ -309,11 +309,12 @@ def test_bowen_ball_measure_bernoulli_cylinder():
 
 # (radius, symbols pinned by the closed ball, by the open ball) under the
 # default base beta = e: a radius of exactly e^-m pins m symbols when closed
-# and m + 1 when open, a radius strictly between e^-m and e^-(m-1) pins m
+# and m + 1 when open, a radius strictly between e^-m and e^-(m-1) pins m;
+# the last row pins more symbols than the 12-symbol centre word holds
 PINNED = [(1.0, 0, 1), (1.5, 0, 0), (math.e ** -1, 1, 2), (0.5, 1, 1),
           (math.e ** -3, 3, 4), (1.7 * math.e ** -3, 3, 3),
           (math.e ** -5, 5, 6), (0.9 * math.e ** -5, 6, 6),
-          (math.e ** -20, 12, 12)]
+          (math.e ** -20, 20, 21)]
 
 
 @pytest.mark.parametrize("radius,closed_pins,open_pins", PINNED)
@@ -327,9 +328,14 @@ def test_bernoulli_masses_are_the_pinned_weights(radius, closed_pins,
     def weights(m):
         return math.prod(p[s] for s in symbols[:m])
 
-    assert ball_measure(mu, Ball(x, radius)) == weights(closed_pins)
-    assert ball_measure(mu, Ball(x, radius, closed=False)) \
-        == weights(open_pins)
+    for closed, pins in ((True, closed_pins), (False, open_pins)):
+        ball = Ball(x, radius, closed=closed)
+        if pins > len(symbols):
+            # a word shorter than its ball's pins does not fix the cylinder
+            with pytest.raises(ValueError, match="too short"):
+                ball_measure(mu, ball)
+        else:
+            assert ball_measure(mu, ball) == weights(pins)
     # the Bowen ball of radius eps pins n - 1 more symbols than the open
     # ball; a word shorter than that is refused
     for n in (1, 2, 5, 9):
@@ -354,6 +360,23 @@ def test_a_word_shorter_than_its_bowen_balls_is_refused():
         with pytest.raises(ValueError, match=f"pin {need} symbols"):
             brin_katok(sys, mu, word(short))
     up, lo = brin_katok(sys, mu, word(symbols[:need]))
+    assert up.value == pytest.approx(math.log(2.0))
+    assert lo.value == pytest.approx(math.log(2.0))
+
+
+def test_a_word_shorter_than_its_plain_balls_is_refused():
+    # the ball of radius e^(-omega * n) pins its radius's symbols in full,
+    # however short the centre word: 7 symbols cannot price them
+    sys, mu = get_system("fullshift:2"), get_measure("bernoulli:0.5,0.5")
+    n_max = max(DEFAULT_SCHEDULE.n_values)
+    need = radius_pins(Ball(word([0] * 64), math.exp(-n_max)),
+                       Metric(SYMBOLIC, alphabet=2))
+    assert need > 7
+    with pytest.raises(ValueError, match=f"pin {need} symbols"):
+        translocal_local_pressure(sys, mu, ZERO_POTENTIAL,
+                                  word([0, 1, 1, 0, 1, 0, 0]), 1.0)
+    up, lo = translocal_local_pressure(sys, mu, ZERO_POTENTIAL,
+                                       word([0, 1, 1, 0, 1, 0, 0] * 3), 1.0)
     assert up.value == pytest.approx(math.log(2.0))
     assert lo.value == pytest.approx(math.log(2.0))
 

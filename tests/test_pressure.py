@@ -132,6 +132,14 @@ def test_critical_exponent_rejects_repeated_n():
                           n_window=(6, 6, 6, 6, 7))
 
 
+def test_critical_exponent_refuses_unknown_variants():
+    sys = get_system("tripling")
+    for variant in ("translocal-lower", "bowen"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            critical_exponent(sys, whole_circle(), ZERO_POTENTIAL, r=0.05,
+                              omega=0.7, variant=variant)
+
+
 def test_translocal_cover_weight_requires_positive_omega():
     sys = get_system("tripling")
     with pytest.raises(ValueError):

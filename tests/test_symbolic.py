@@ -1,4 +1,4 @@
-"""Coded shifts, Kraft roots, and the special sequences."""
+"""Coded shifts and Kraft roots."""
 import collections
 import itertools
 import math
@@ -12,7 +12,7 @@ from translocal.errors import BudgetExceededError, NoPositiveRootError
 from translocal.separated import symbolic_word_count
 from translocal.symbolic import (binary_word, coded_language_count,
                                  get_family, kraft_entropy,
-                                 language_membership, make_uvw)
+                                 language_membership)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -326,18 +326,3 @@ def test_membership_agrees_with_language_count():
         members = sum(language_membership(fam, w)
                       for w in itertools.product(range(3), repeat=n))
         assert members == coded_language_count(fam, n)
-
-
-def test_uvw_prefixes():
-    u, v, w = make_uvw(16)
-    assert w.word == (0,) * 16
-    assert v.word[:8] == (1, 0, 1, 1, 1, 1, 0, 0)
-    assert u.word[:8] == (1, 1, 1, 0, 1, 1, 1, 1)
-
-
-def test_uvw_u_shadows_v_on_odd_blocks():
-    u, v, _ = make_uvw(2000)
-    # block for j = 5 copies a prefix of v
-    start = math.factorial(4)
-    length = math.factorial(5) - math.factorial(4)
-    assert u.word[start:start + length] == v.word[:length]
