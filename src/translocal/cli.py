@@ -95,20 +95,14 @@ def load_config(path: str):
 def default_s_grid(sys_obj, pot) -> tuple:
     """The s-grid of a `pressure` run that sets none: -0.5..2.0 in steps of
     0.5, and one point 0.5 past a bound on the pressure where that bound
-    reaches 2.0, so that the root is bracketed.  The bound is h_top + c
-    under `zero` or `constant:c`, and h_top - t * max_log_slope under
-    `geometric:t` with t < 0, where the potential is at most
-    -t * max_log_slope."""
+    reaches 2.0, so that the root is bracketed.  The bound is
+    h_top + c - t * max_log_slope for t <= 0, where the potential
+    c - t * log|f'| is at most c - t * max_log_slope."""
     grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
-    if sys_obj.h_top is None:
+    if sys_obj.h_top is None or pot.t > 0.0 or (
+            pot.t < 0.0 and sys_obj.max_log_slope is None):
         return grid
-    if pot.kind in ("zero", "constant"):
-        top = sys_obj.h_top + pot.c
-    elif (pot.kind == "geometric" and pot.t < 0.0
-          and sys_obj.max_log_slope is not None):
-        top = sys_obj.h_top - pot.t * sys_obj.max_log_slope
-    else:
-        return grid
+    top = sys_obj.h_top + pot.c - pot.t * (sys_obj.max_log_slope or 0.0)
     return grid + (top + 0.5,) if top >= grid[-1] else grid
 
 
@@ -146,10 +140,9 @@ def expected_for(kind, sys_obj, point, omega, pot, extra):
             return math.log(k), "uniform Bernoulli cylinder mass decay", 0.05
     slopes = maps.full_branch_slopes(sys_obj)
     if kind == "translocal-pressure" and slopes is not None \
-            and variant == "lebesgue-circle":
+            and variant == "lebesgue-circle" and pot.t == 0.0:
         # a metric ball's Lebesgue mass does not depend on the map
-        if pot.kind in ("zero", "constant"):
-            return omega + pot.c, "arc-length ball measure closed form", 0.10
+        return omega + pot.c, "arc-length ball measure closed form", 0.10
     if kind == "yz-function" and sys_obj.name == "staircase":
         # the steepest branch reaching x; at an edge 2^-m, band m + 1's
         x = point.coords[0]
@@ -157,12 +150,8 @@ def expected_for(kind, sys_obj, point, omega, pot, extra):
                              if br.lo - 1e-12 <= x <= br.hi + 1e-12)),
                 "per-band slope count closed form", 0.10)
     if kind == "pressure" and slopes is not None:
-        if pot.kind == "zero":
-            return (math.log(len(slopes)), "full-branch lap count log k",
-                    0.10)
-        if pot.kind == "geometric":
-            return (math.log(math.fsum(s ** -pot.t for s in slopes)),
-                    "Bowen's formula log sum_i s_i^-t", 0.10)
+        return (pot.c + math.log(math.fsum(s ** -pot.t for s in slopes)),
+                "Bowen's formula c + log sum_i s_i^-t", 0.10)
     return None
 
 

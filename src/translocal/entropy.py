@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import separated
 from .maps import System, int_matmul, log_derivative_sums
 from .separated import separation_prefix_length
-from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Metric, Point,
+from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Point,
                      pinned_symbols)
 
 DEFAULT_DELTAS = (0.04, 0.02, 0.01)
@@ -216,15 +216,15 @@ def _ball_rows(sys: System, ball: Ball, n_values, epsilons) -> list[list]:
         pieces, whole = _pieces_1d(space, ball.center.coords[0], ball.radius)
         per_piece = [separated.exact_variations(sys, lo, hi, n_values)
                      for lo, hi in pieces]
-        return [_log_counts_1d(sum(tvs), whole, epsilons)
-                for tvs in zip(*per_piece)]
+        return [_log_counts_1d(sys, n, sum(tvs), whole, epsilons)
+                for n, tvs in zip(n_values, zip(*per_piece))]
     if space == TORUS and sys.matrix is not None:
         return _toral_rows(sys, [(n, ball.radius) for n in n_values],
                            epsilons)
     if space == SYMBOLIC:
-        m = Metric(SYMBOLIC, alphabet=sys.alphabet or 2)
-        m_fixed = pinned_symbols(ball, m)
-        return [_symbolic_row(n, m, m_fixed, epsilons) for n in n_values]
+        m_fixed = pinned_symbols(ball)
+        return [_symbolic_row(n, sys.alphabet, m_fixed, epsilons)
+                for n in n_values]
     raise ValueError(f"system {sys.name!r} has no exact cell count")
 
 
@@ -245,13 +245,20 @@ def _pieces_1d(space: str, c: float, radius: float):
     return ((max(c - radius, 0.0), min(c + radius, 1.0)),), False
 
 
-def _log_counts_1d(tv: float, whole: bool, epsilons) -> list[float]:
+def _log_counts_1d(sys: System, n: int, tv: float, whole: bool,
+                   epsilons) -> list[float]:
     """Exact 1D counts from the image variation of the ball: a whole
-    circle's points lie on a cycle of circumference tv."""
+    circle's points lie on a cycle of circumference tv.  A count beyond
+    the float range raises HorizonExceededError."""
     tv *= 1.0 - 1e-12
-    if whole:
-        return [math.log(max(int(tv / eps), 1)) for eps in epsilons]
-    return [math.log(int(tv / eps) + 1) for eps in epsilons]
+    try:
+        if whole:
+            return [math.log(max(int(tv / eps), 1)) for eps in epsilons]
+        return [math.log(int(tv / eps) + 1) for eps in epsilons]
+    except OverflowError:
+        from .errors import HorizonExceededError
+        raise HorizonExceededError(f"the separated count of {sys.name!r} at "
+                                   f"n = {n} passes the float range") from None
 
 
 def _toral_rows(sys: System, cells, epsilons) -> list[list]:
@@ -285,13 +292,12 @@ def _toral_rows(sys: System, cells, epsilons) -> list[list]:
     return rows
 
 
-def _symbolic_row(n: int, m: Metric, m_fixed: int, epsilons) -> list[float]:
+def _symbolic_row(n: int, k: int, m_fixed: int, epsilons) -> list[float]:
     """k^(free prefix symbols): words are (n, eps)-separated iff they differ
     within their first `plen` symbols, and the ball pins the first `m_fixed`
     of them to the centre's.  This is the distinct-prefix count of the word
-    grid at resolution beta^-plen, whose words have max(plen, 1) symbols."""
-    return [math.log(m.alphabet ** max(
-                separation_prefix_length(n, eps, m.beta) - m_fixed, 0))
+    grid at resolution BETA^-plen, whose words have max(plen, 1) symbols."""
+    return [math.log(k ** max(separation_prefix_length(n, eps) - m_fixed, 0))
             for eps in epsilons]
 
 
@@ -376,7 +382,7 @@ def translocal_entropy(sys: System, z: Point, omega: float,
             tv = 0
             for lo, hi in pieces:
                 tv += separated.exact_variation(sys, lo, hi, n)
-            rows.append(_log_counts_1d(tv, whole, epsilons))
+            rows.append(_log_counts_1d(sys, n, tv, whole, epsilons))
     elif space == TORUS and sys.matrix is not None:
         rows = _toral_rows(sys, cells, epsilons)
     else:

@@ -2,7 +2,7 @@
 
 
 class SpaceMismatchError(ValueError):
-    """Operands live in different phase spaces (or don't match the metric)."""
+    """Operands live in different phase spaces."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -67,7 +67,6 @@ class System:
 
     name: str
     space: str
-    dim: int
     matrix: tuple | None = None
     alphabet: int | None = None
     branches: tuple = ()
@@ -95,6 +94,11 @@ class System:
             rules = _torus_rules(self.matrix)
         for name, value in rules.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        """The phase space's dimension: the matrix size of a torus map."""
+        return 1 if self.matrix is None else len(self.matrix)
 
 
 def evaluate(sys: System, x: Point) -> Point:
@@ -456,26 +460,26 @@ def _staircase_branches() -> tuple:
 
 def _catalogue() -> dict[str, System]:
     systems = (
-        System("tripling", CIRCLE, 1,
+        System("tripling", CIRCLE,
                branches=(_affine(0.0, 1 / 3, 3.0, 0.0),
                          _affine(1 / 3, 2 / 3, 3.0, -1.0),
                          _affine(2 / 3, 1.0, 3.0, -2.0))),
-        System("g3branch", CIRCLE, 1,
+        System("g3branch", CIRCLE,
                branches=(_affine(0.0, 0.5, 2.0, 0.0),
                          _affine(0.5, 0.75, 4.0, -2.0),
                          _affine(0.75, 1.0, 4.0, -3.0))),
-        System("pomeau-manneville", INTERVAL, 1,
+        System("pomeau-manneville", INTERVAL,
                branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT,
                                 log_slope=_pomeau_manneville_log_slope,
                                 end_log_slopes=(0.0, 2.0 * math.log(2.0))),
                          _affine(0.5, 1.0, 2.0, -1.0))),
-        System("sqrtmap", INTERVAL, 1,
+        System("sqrtmap", INTERVAL,
                branches=(Branch(0.0, 0.5, lambda x: _sqrt(2.0 * x), _UNIT,
                                 log_slope=_sqrtmap_log_slope,
                                 end_log_slopes=(math.inf, 0.0)),
                          _affine(0.5, 1.0, 2.0, -1.0))),
-        System("staircase", INTERVAL, 1, branches=_staircase_branches()),
-        System("identity", CIRCLE, 1,
+        System("staircase", INTERVAL, branches=_staircase_branches()),
+        System("identity", CIRCLE,
                branches=(Branch(0.0, 1.0, lambda x: x, _UNIT, 1.0),)),
     )
     return {sys.name: sys for sys in systems}
@@ -498,15 +502,12 @@ def get_system(spec_id: str) -> System:
     if spec_id.startswith("toral:"):
         rows = tuple(tuple(int(v) for v in row.split(","))
                      for row in spec_id[len("toral:"):].split(";"))
-        d = len(rows)
-        if any(len(r) != d for r in rows):
-            raise ValueError(f"non-square toral matrix in {spec_id!r}")
-        return System(name=spec_id, space=TORUS, dim=d, matrix=rows)
+        return System(name=spec_id, space=TORUS, matrix=rows)
     if spec_id.startswith("fullshift:"):
         k = int(spec_id.split(":", 1)[1])
         if k < 2:
             raise ValueError("full shift needs at least 2 symbols")
-        return System(name=spec_id, space=SYMBOLIC, dim=1, alphabet=k)
+        return System(name=spec_id, space=SYMBOLIC, alphabet=k)
     if spec_id.startswith("iterate:"):
         base_id, r = spec_id[len("iterate:"):].rsplit(":", 1)
         return iterate_system(get_system(base_id), int(r))
@@ -531,7 +532,7 @@ def iterate_system(sys: System, r: int) -> System:
         table = sys.branches
         for _ in range(r - 1):
             table = _compose(sys.branches, table)
-        return System(name, sys.space, sys.dim, branches=table)
+        return System(name, sys.space, branches=table)
     if sys.matrix is not None:
         # A^r by repeated squaring, in exact integers; the float step holds
         # entries up to 2^53 exactly
@@ -544,8 +545,8 @@ def iterate_system(sys: System, r: int) -> System:
                 square = int_matmul(square, square)
         if max(abs(v) for row in power for v in row) > 2 ** 53:
             raise ValueError(f"{name} has matrix entries beyond 2^53")
-        return System(name, sys.space, sys.dim, matrix=power)
-    return System(name, sys.space, sys.dim, base=sys, power=r)
+        return System(name, sys.space, matrix=power)
+    return System(name, sys.space, base=sys, power=r)
 
 
 def _compose(first: tuple, then: tuple) -> tuple:
@@ -614,51 +615,45 @@ def full_branch_slopes(sys: System) -> tuple | None:
 
 @dataclass(frozen=True)
 class Potential:
-    """Continuous potential: zero, constant(c) or geometric(t) = -t*log|f'|."""
+    """The continuous potential c - t*log|f'|: zero, constant (t = 0) or
+    geometric (c = 0), read as c or -t*log|f'| (0 - x would drop a -0.0)."""
 
-    kind: str = "zero"
     c: float = 0.0
-    t: float = 1.0
+    t: float = 0.0
 
     def values(self, sys: System, coords: np.ndarray) -> np.ndarray:
         import numpy as np
         coords = np.asarray(coords, dtype=float)
-        flat = coords[..., 0] if coords.ndim > 1 else coords
-        if self.kind == "zero":
-            return np.zeros_like(flat)
-        if self.kind == "constant":
-            return np.full_like(flat, self.c)
-        if self.kind == "geometric":
-            if sys.log_slope_many is None:
-                raise ValueError("geometric potential needs a derivative rule")
-            return -self.t * sys.log_slope_many(coords)
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        if self.t == 0.0:
+            return np.full_like(coords[..., 0] if coords.ndim > 1 else coords,
+                                self.c)
+        if sys.log_slope_many is None:
+            raise ValueError("geometric potential needs a derivative rule")
+        v = sys.log_slope_many(coords)
+        return -self.t * v if self.c == 0.0 else self.c - self.t * v
 
     def value(self, sys: System, c: float) -> float:
         """The potential at one coordinate of a 1D map with a branch table,
         as a float: log|f'| is read off the branch that holds c."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
+        if self.t == 0.0:
             return self.c
-        if self.kind == "geometric":
-            i = bisect_right(sys.cuts, c)
-            v = sys.log_slopes[i]
-            return -self.t * (v if v is not None
-                              else float(sys.branches[i].log_slope(c)))
-        raise ValueError(f"unknown potential kind {self.kind!r}")
+        i = bisect_right(sys.cuts, c)
+        v = sys.log_slopes[i]
+        if v is None:
+            v = float(sys.branches[i].log_slope(c))
+        return -self.t * v if self.c == 0.0 else self.c - self.t * v
 
 
-ZERO_POTENTIAL = Potential("zero")
+ZERO_POTENTIAL = Potential()
 
 
 def get_potential(spec_id: str) -> Potential:
     if spec_id in ("zero", "0"):
         return ZERO_POTENTIAL
     if spec_id.startswith("constant:"):
-        return Potential("constant", c=float(spec_id.split(":", 1)[1]))
+        return Potential(c=float(spec_id.split(":", 1)[1]))
     if spec_id.startswith("geometric:"):
-        return Potential("geometric", t=float(spec_id.split(":", 1)[1]))
+        return Potential(t=float(spec_id.split(":", 1)[1]))
     raise KeyError(f"unknown potential id {spec_id!r}")
 
 
@@ -676,9 +671,7 @@ def birkhoff_sums(pot: Potential, sys: System, x: Point,
     time and each prefix summed by the correctly rounded `math.fsum`; any
     other map's orbit is an array, each prefix summed pairwise by
     `np.sum`.  A running sum would round differently from either."""
-    if pot.kind == "zero":
-        return [0.0 for _ in n_values]
-    if pot.kind == "constant":
+    if pot.t == 0.0:
         return [pot.c * n for n in n_values]
     if sys.space == SYMBOLIC:
         raise ValueError("non-constant potentials unsupported on shift spaces")

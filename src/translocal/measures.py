@@ -18,8 +18,7 @@ from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
                    evaluate, full_branch_slopes, point_orbit)
-from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Metric, Point, distance,
-                     radius_pins)
+from .spaces import CIRCLE, SYMBOLIC, TORUS, Ball, Point, distance, radius_pins
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,7 @@ def certified_invariant(sys: System, mu: Measure) -> bool:
     if mu.variant == "dirac":
         if mu.atom.space != sys.space:
             return False
-        m = separated.default_metric(sys)
-        return distance(evaluate(sys, mu.atom), mu.atom, m) < 1e-9
+        return distance(evaluate(sys, mu.atom), mu.atom) < 1e-9
     return False
 
 
@@ -118,11 +116,10 @@ def ball_measure(mu: Measure, ball: Ball) -> float:
         side = min(2.0 * ball.radius, 1.0)
         return side ** len(ball.center.coords)
     if mu.variant == "bernoulli":
-        m = radius_pins(ball, Metric(SYMBOLIC, alphabet=len(mu.p)))
+        m = radius_pins(ball)
         return _cylinder_masses(mu, ball.center.word, m)[m]
     if mu.variant == "dirac":
-        m = Metric(mu.space, alphabet=2)
-        return 1.0 if ball.contains(mu.atom, m) else 0.0
+        return 1.0 if ball.contains(mu.atom) else 0.0
     raise ValueError(f"unknown measure variant {mu.variant!r}")
 
 
@@ -173,8 +170,7 @@ def _bowen_backend(sys: System, mu: Measure, x: Point, ns: list,
                 else 0.0 for n in ns]
     if mu.variant == "bernoulli":
         # the Bowen ball pins n - 1 more symbols than the open ball
-        pins = radius_pins(Ball(x, eps, closed=False),
-                           Metric(SYMBOLIC, alphabet=len(mu.p)))
+        pins = radius_pins(Ball(x, eps, closed=False))
         masses = _cylinder_masses(mu, x.word, max(ns) - 1 + pins)
         return [masses[n - 1 + pins] for n in ns]
     if mu.variant == "lebesgue-circle" and sys.space == CIRCLE:

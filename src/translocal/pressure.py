@@ -146,26 +146,16 @@ def _log_sum_exp(values: list) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in values))
 
 
-def _branch_potential(pot: Potential, slopes: tuple) -> list | None:
-    """The potential on each affine branch, where it is constant there."""
-    if pot.kind == "zero":
-        return [0.0] * len(slopes)
-    if pot.kind == "constant":
-        return [pot.c] * len(slopes)
-    if pot.kind == "geometric":
-        return [-pot.t * math.log(s) for s in slopes]
-    return None
-
-
 def _closed_levels(sys: System, pot: Potential, a: float, b: float,
                    levels: range, extent) -> dict[int, _Level]:
     """Cover data of the whole circle under a full-branch affine map, by
     Bowen's formula, at the top run of `levels` where it holds (the closed
     form fails only at low levels: one ball covers, or an extent is 1)."""
     slopes = full_branch_slopes(sys)
-    phis = None if slopes is None else _branch_potential(pot, slopes)
-    if (a, b) != (0.0, 1.0) or phis is None:
+    if (a, b) != (0.0, 1.0) or slopes is None:
         return {}
+    # the potential is constant on each affine branch
+    phis = [pot.value(sys, br.lo) for br in sys.branches]
     log_w = _log_sum_exp(phis)
     log_w_per_s = _log_sum_exp([p - math.log(s)
                                 for p, s in zip(phis, slopes)])

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import spaces
-from .errors import SpaceMismatchError
+from .errors import HorizonExceededError, SpaceMismatchError
 from .maps import System, monotone_branches, orbit_coords
-from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Metric, Point
+from .spaces import BETA, CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Point
 
 _PAIRWISE_LIMIT = 4000
 _BLOCK = 1 << 17
@@ -42,7 +42,6 @@ class SeparationQuery:
     n: int
     eps: float
     strict: bool = True
-    metric: Metric | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -60,31 +59,27 @@ class SeparationResult:
 
 
 def bowen_distance(sys: System, a: Point, b: Point, n: int) -> float:
-    """max_{0 <= j < n} d(f^j a, f^j b) in the system's default metric."""
+    """max_{0 <= j < n} d(f^j a, f^j b) in the metric of the system's space."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if sys.space == SYMBOLIC:
-        return _symbolic_bowen(a.word, b.word, n, default_metric(sys).beta)
+        return _symbolic_bowen(a.word, b.word, n)
     import numpy as np
     oa = orbit_coords(sys, np.asarray([a.coords]), n)
     ob = orbit_coords(sys, np.asarray([b.coords]), n)
     return float(_bowen_many(sys.space, oa, ob[0])[0])
 
 
-def default_metric(sys: System) -> Metric:
-    return Metric(sys.space, alphabet=sys.alphabet or 2)
-
-
 def separated_count(q: SeparationQuery) -> SeparationResult:
     """Greedy lower bound on the maximal (n, eps)-separated cardinality."""
-    m = q.metric or default_metric(q.system)
     if q.system.space == SYMBOLIC:
         words = q.sample.words if isinstance(q.sample, Grid) else [
             p.word for p in q.sample]
         if not words:
             raise ValueError("empty sample set")
-        count = _count_symbolic(words, q.n, q.eps, m.beta, q.strict)
-        return SeparationResult(count, "exact-symbolic", 0)
+        plen = separation_prefix_length(q.n, q.eps, q.strict)
+        return SeparationResult(len({w[:plen] for w in words}),
+                                "exact-symbolic", 0)
 
     coords = _sample_coords(q.sample, q.system)
     if coords.shape[0] == 0:
@@ -269,7 +264,8 @@ def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
     merge, so a walk holds a few fragments and its cost is linear in
     max(n_values).  The value for n is the sum of multiplicity * (b - a)
     after n - 1 steps: each value is the one a walk to that n alone gives,
-    bit for bit.
+    bit for bit.  A value beyond the float range raises
+    HorizonExceededError.
     """
     ns = tuple(n_values)
     if ns and min(ns) < 1:
@@ -283,7 +279,13 @@ def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
     if not sys.branches:
         raise ValueError(f"system {sys.name!r} has no monotone branch table")
     if sys.uniform_slope is not None:
-        return [(hi - lo) * sys.uniform_slope ** (n - 1) for n in ns]
+        s = sys.uniform_slope
+        try:
+            return [(hi - lo) * s ** (n - 1) for n in ns]
+        except OverflowError:
+            # raised at the first n whose s^(n-1) overflows
+            return [_finite(sys, n, lambda: (hi - lo) * s ** (n - 1))
+                    for n in ns]
     values = {}
     frags = {(float(lo), float(hi)): 1}
     for n in range(1, max(ns, default=1) + 1):
@@ -310,40 +312,38 @@ def exact_variations(sys: System, lo: float, hi: float, n_values) -> list:
                     nxt[piece] = nxt.get(piece, 0) + mult
             frags = nxt
         if n in ns:
-            values[n] = sum(m * (b - a) for (a, b), m in frags.items())
+            values[n] = _finite(sys, n, lambda: sum(
+                m * (b - a) for (a, b), m in frags.items()))
     return [values[n] for n in ns]
+
+
+def _finite(sys: System, n: int, variation) -> float:
+    """variation(), refused where it or a term of it passes the float range."""
+    try:
+        value = variation()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise HorizonExceededError(f"the image variation of {sys.name!r} at "
+                                   f"n = {n} passes the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Symbolic counting
 # ---------------------------------------------------------------------------
 
-def _symbolic_bowen(u: tuple, v: tuple, n: int, beta: float) -> float:
-    horizon = min(len(u), len(v))
-    p0 = None
-    for i in range(horizon):
-        if u[i] != v[i]:
-            p0 = i
-            break
-    if p0 is None:
-        if len(u) == len(v):
-            return 0.0
-        p0 = horizon
-    return beta ** (-max(p0 - (n - 1), 0))
+def _symbolic_bowen(u: tuple, v: tuple, n: int) -> float:
+    p0 = spaces.first_difference(u, v)
+    return 0.0 if p0 is None else BETA ** (-max(p0 - (n - 1), 0))
 
 
-def separation_prefix_length(n: int, eps: float, beta: float,
-                             strict: bool = True) -> int:
+def separation_prefix_length(n: int, eps: float, strict: bool = True) -> int:
     """Words are (n, eps)-separated iff they differ within this many symbols."""
-    # separated iff first difference p0 satisfies beta^(n-1-p0) > eps
-    bound = (n - 1) + math.log(1.0 / eps) / math.log(beta)
+    # separated iff first difference p0 satisfies BETA^(n-1-p0) > eps
+    bound = (n - 1) + math.log(1.0 / eps) / math.log(BETA)
     if strict:
         last = math.ceil(bound - 1e-12) - 1
     else:
         last = math.floor(bound + 1e-12)
     return max(last + 1, 0)
-
-
-def _count_symbolic(words, n: int, eps: float, beta: float, strict: bool) -> int:
-    plen = separation_prefix_length(n, eps, beta, strict)
-    return len({w[:plen] for w in words})

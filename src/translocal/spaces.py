@@ -1,9 +1,9 @@
-"""Phase spaces: points, metrics, balls and deterministic sampling grids.
+"""Phase spaces: points, their one metric each, balls and deterministic
+sampling grids.
 
 Supported spaces: the circle R/Z, the d-torus (sup metric, so balls are
-coordinate boxes), the unit interval, and one-sided symbol sequences over a
-finite alphabet with the metric d(u, v) = beta^(-m), m the first index where
-u and v disagree.
+coordinate boxes), the unit interval, and one-sided symbol sequences with
+the metric d(u, v) = BETA^(-m), m the first index where u and v disagree.
 
 The estimators count every cell in closed form and build no grid.  The
 deterministic grids (the same request always yields the same point list)
@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 # the default cap on the points of a sample grid
 POINT_BUDGET = 5_000_000
+# the decay base of the symbolic metric
+BETA = math.e
 
 
 @dataclass(frozen=True)
@@ -63,52 +65,39 @@ def word(symbols) -> Point:
     return Point(SYMBOLIC, word=tuple(int(s) for s in symbols))
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Metric choice for one space variant.
-
-    For symbolic spaces `beta` is the decay base (> 1) and `alphabet` the
-    number of symbols (needed when enumerating grid words).
-    """
-
-    space: str
-    beta: float = math.e
-    alphabet: int = 2
-
-
-def _check_same_space(a: Point, b: Point, m: Metric) -> None:
-    if a.space != b.space or a.space != m.space:
-        raise SpaceMismatchError(
-            f"space mismatch: {a.space!r}, {b.space!r}, metric {m.space!r}"
-        )
-
-
 def circle_dist(x: float, y: float) -> float:
     d = abs(x - y) % 1.0
     return min(d, 1.0 - d)
 
 
-def distance(a: Point, b: Point, m: Metric) -> float:
-    """d(a, b) under the metric spec; operands must share the metric's space."""
-    _check_same_space(a, b, m)
-    if m.space == CIRCLE:
+def first_difference(u: tuple, v: tuple) -> int | None:
+    """The first index where words u and v differ, or None where they are
+    equal.  Words that agree up to the shorter one's end differ there: any
+    disagreement beyond it is unobservable."""
+    horizon = min(len(u), len(v))
+    for i in range(horizon):
+        if u[i] != v[i]:
+            return i
+    return None if len(u) == len(v) else horizon
+
+
+def distance(a: Point, b: Point) -> float:
+    """d(a, b) in the metric of their space; both must share it."""
+    space = a.space
+    if b.space != space:
+        raise SpaceMismatchError(f"space mismatch: {space!r}, {b.space!r}")
+    if space == CIRCLE:
         return circle_dist(a.coords[0], b.coords[0])
-    if m.space == TORUS:
+    if space == TORUS:
         if len(a.coords) != len(b.coords):
             raise SpaceMismatchError("torus points of different dimension")
         return max(circle_dist(x, y) for x, y in zip(a.coords, b.coords))
-    if m.space == INTERVAL:
+    if space == INTERVAL:
         return abs(a.coords[0] - b.coords[0])
-    if m.space == SYMBOLIC:
-        horizon = min(len(a.word), len(b.word))
-        for i in range(horizon):
-            if a.word[i] != b.word[i]:
-                return m.beta ** (-i)
-        if len(a.word) == len(b.word):
-            return 0.0
-        # Disagreement is unobservable within the shared horizon.
-        return m.beta ** (-horizon)
-    raise SpaceMismatchError(f"unknown space {m.space!r}")
+    if space == SYMBOLIC:
+        p0 = first_difference(a.word, b.word)
+        return 0.0 if p0 is None else BETA ** (-p0)
+    raise SpaceMismatchError(f"unknown space {space!r}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +110,8 @@ class Ball:
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
-    def contains(self, p: Point, m: Metric) -> bool:
-        d = distance(self.center, p, m)
+    def contains(self, p: Point) -> bool:
+        d = distance(self.center, p)
         return d <= self.radius if self.closed else d < self.radius
 
 
@@ -157,7 +146,8 @@ def sample_grid(ball: Ball, resolution: float,
     """Uniform deterministic grid covering `ball` at the given resolution.
 
     Every grid point lies in the ball and every ball point is within
-    `resolution` of some grid point.
+    `resolution` of some grid point.  A symbolic ball's words are over two
+    symbols.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -190,51 +180,42 @@ def sample_grid(ball: Ball, resolution: float,
         return Grid(ball, resolution, coords=coords)
 
     if space == SYMBOLIC:
-        m = Metric(SYMBOLIC)
-        return symbolic_grid(ball, resolution, m, cap)
+        return symbolic_grid(ball, resolution, 2, cap)
 
     raise SpaceMismatchError(f"unknown space {space!r}")
 
 
-def radius_pins(ball: Ball, metric: Metric) -> int:
+def radius_pins(ball: Ball) -> int:
     """How many leading symbols a symbolic ball's radius fixes, however long
     its centre word.  The open unit ball pins one: words that differ at
     index 0 are at distance exactly 1."""
     if ball.radius > 1.0:
         return 0
-    beta = metric.beta
-    m_fixed = math.ceil(math.log(1.0 / ball.radius) / math.log(beta) - _EPS)
-    if not ball.closed and beta ** (-m_fixed) >= ball.radius:
+    m_fixed = math.ceil(math.log(1.0 / ball.radius) / math.log(BETA) - _EPS)
+    if not ball.closed and BETA ** (-m_fixed) >= ball.radius:
         m_fixed += 1
     return m_fixed
 
 
-def pinned_symbols(ball: Ball, metric: Metric) -> int:
+def pinned_symbols(ball: Ball) -> int:
     """How many leading symbols of the centre every word of a symbolic ball
     shares: the radius's pins, at most the centre word's length."""
-    return min(radius_pins(ball, metric), len(ball.center.word))
+    return min(radius_pins(ball), len(ball.center.word))
 
 
-def symbolic_grid(ball: Ball, resolution: float, metric: Metric,
+def symbolic_grid(ball: Ball, resolution: float, k: int,
                   cap: int = POINT_BUDGET) -> Grid:
-    """Word grid for a symbolic ball, honouring the metric's beta/alphabet."""
-    beta, k = metric.beta, metric.alphabet
+    """Word grid over k symbols for a symbolic ball, in lexicographic order."""
+    from itertools import product
     # Words of length L resolve distances down to `resolution`; the first
     # `m_fixed` symbols are pinned by the ball's radius.
-    length = max(1, math.ceil(math.log(1.0 / resolution) / math.log(beta) - _EPS))
-    m_fixed = pinned_symbols(ball, metric)
+    length = max(1, math.ceil(math.log(1.0 / resolution) / math.log(BETA) - _EPS))
+    m_fixed = pinned_symbols(ball)
     free = max(0, length - m_fixed)
     _check_budget(k ** free, cap)
     prefix = ball.center.word[:m_fixed]
-    words = []
-    for idx in range(k ** free):
-        tail = []
-        v = idx
-        for _ in range(free):
-            tail.append(v % k)
-            v //= k
-        words.append(prefix + tuple(reversed(tail)))
-    return Grid(ball, resolution, words=tuple(words))
+    return Grid(ball, resolution, words=tuple(
+        prefix + tail for tail in product(range(k), repeat=free)))
 
 
 def _check_budget(needed: int, cap: int) -> None:

@@ -16,7 +16,7 @@ from translocal.maps import ZERO_POTENTIAL, get_potential, get_system
 from translocal.measures import brin_katok, get_measure
 from translocal.pressure import (cover_weight, critical_exponent,
                                  ma_wen_audit, whole_circle)
-from translocal.spaces import (Ball, Metric, circle, distance, interval,
+from translocal.spaces import (Ball, circle, distance, interval,
                                torus, word)
 from translocal.symbolic import get_family, kraft_entropy
 
@@ -268,9 +268,8 @@ class TestStructuralProperties:
                          for row in rng.integers(0, 2, size=(9, 12))],
         }
         for space, pts in samples.items():
-            m = Metric(pts[0].space)
             for a, b, c in zip(pts[:3], pts[3:6], pts[6:9]):
-                assert distance(a, a, m) == 0.0
-                dab = distance(a, b, m)
-                assert dab == pytest.approx(distance(b, a, m))
-                assert dab <= distance(a, c, m) + distance(c, b, m) + 1e-12
+                assert distance(a, a) == 0.0
+                dab = distance(a, b)
+                assert dab == pytest.approx(distance(b, a))
+                assert dab <= distance(a, c) + distance(c, b) + 1e-12

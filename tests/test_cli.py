@@ -181,6 +181,26 @@ potential = {potential}
     assert float(row["rel_error"]) <= 1e-9
 
 
+@pytest.mark.parametrize("system, k", [("tripling", 3), ("g3branch", 3),
+                                       ("iterate:g3branch:2", 9)])
+def test_pressure_oracle_adds_a_constant_potential(tmp_path, capsys, system,
+                                                   k):
+    # Bowen's formula c + log sum_i s_i^-t reads log k + c under constant:c
+    cfg = write_config(tmp_path / "pressure.ini", f"""
+[experiment]
+kind = pressure
+system = {system}
+potential = constant:0.4
+""")
+    csv_path = tmp_path / "pressure.csv"
+    assert run_cli(["run", cfg, "--csv", str(csv_path)]) == 0
+    with csv_path.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["expected"]) == pytest.approx(math.log(k) + 0.4,
+                                                   rel=1e-15)
+    assert float(row["rel_error"]) <= 1e-9
+
+
 def test_pressure_oracle_covers_an_iterate(tmp_path, capsys):
     # g3branch^2 is a table of 9 affine branches onto the circle: its
     # pressure run has Bowen's formula as its oracle, and meets it
@@ -318,6 +338,26 @@ point = circle:0.455118552
     assert run_cli(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_count_beyond_the_float_range_exits_1_without_traceback(
+        tmp_path, capsys):
+    # the staircase ball at 0.005 reaches bands 8..12: its multiplicities
+    # pass the float range at n = 222
+    cfg = write_config(tmp_path / "overflow.ini", """
+[experiment]
+kind = yz-function
+system = staircase
+point = interval:0.005
+
+[schedule]
+n_min = 200
+n_max = 260
+""")
+    assert run_cli(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "'staircase'" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

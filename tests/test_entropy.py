@@ -7,7 +7,7 @@ import pytest
 
 from translocal import separated
 from translocal import entropy
-from translocal.errors import SingularOrbitError
+from translocal.errors import HorizonExceededError, SingularOrbitError
 from translocal.entropy import (DEFAULT_SCHEDULE, RateEstimate, Schedule,
                                 cell_log_count, cell_log_counts, growth_rate,
                                 growth_rates, lyapunov_exponent,
@@ -184,6 +184,20 @@ def test_cell_without_an_exact_count_is_rejected():
     matrixless = dataclasses.replace(get_system("cat"), matrix=None)
     with pytest.raises(ValueError):
         cell_log_counts(matrixless, Ball(torus(0.1, 0.2), 0.1), 5, (0.01,))
+
+
+def test_a_count_beyond_the_float_range_is_refused():
+    # 2^1018 < 2^1024: the variation is a float, the count at eps = 0.01
+    # is not, and HorizonExceededError names the system and n
+    pm = get_system("pomeau-manneville")
+    assert cell_log_counts(pm, Ball(interval(0.5), 0.5), 1017, (0.01,))
+    with pytest.raises(HorizonExceededError,
+                       match="'pomeau-manneville' at n = 1019 "):
+        cell_log_counts(pm, Ball(interval(0.5), 0.5), 1019, (0.01,))
+    # 3^642 / 0.01 passes 2^1024 (the whole circle's points, omega = 0)
+    with pytest.raises(HorizonExceededError, match="'tripling' at n = 643 "):
+        translocal_entropy(get_system("tripling"), circle(0.3), 0.0,
+                           Schedule(tuple(range(630, 660))))
 
 
 # whole circle, inside, split across 0 on either side, interval, an

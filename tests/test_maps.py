@@ -242,6 +242,18 @@ def test_fullshift_needs_two_symbols():
         get_system("fullshift:1")
 
 
+def test_a_non_square_toral_matrix_is_refused():
+    with pytest.raises(ValueError, match="square"):
+        get_system("toral:1,2;3")
+
+
+@pytest.mark.parametrize("sys_id, dim", [("toral:2,1,0;1,1,0;0,0,3", 3),
+                                         ("iterate:cat:2", 2),
+                                         ("tripling", 1), ("fullshift:2", 1)])
+def test_dim_is_the_matrix_size_of_a_torus_map_and_1_otherwise(sys_id, dim):
+    assert get_system(sys_id).dim == dim
+
+
 def test_monotone_branches_tripling():
     sys = get_system("tripling")
     branches = monotone_branches(sys, 0.0, 1.0)
@@ -279,9 +291,33 @@ def test_geometric_potential_values():
     assert np.allclose(vals, -0.5 * LOG3)
 
 
+@pytest.mark.parametrize("spec_id, c, t", [
+    ("zero", 0.0, 0.0), ("0", 0.0, 0.0), ("constant:0.4", 0.4, 0.0),
+    ("geometric:0.7", 0.0, 0.7), ("geometric:-1", 0.0, -1.0)])
+def test_potential_ids_parse_to_c_and_t(spec_id, c, t):
+    assert get_potential(spec_id) == Potential(c=c, t=t)
+
+
+TABLE_MAPS = ["tripling", "g3branch", "pomeau-manneville", "sqrtmap",
+              "staircase", "identity"]
+
+
+@pytest.mark.parametrize("pot_id", ["zero", "constant:0.4", "geometric:0.7",
+                                    "geometric:-1"])
+@pytest.mark.parametrize("sys_id", TABLE_MAPS)
+def test_scalar_potential_value_is_the_array_value(sys_id, pot_id):
+    # one coordinate at a time or in one array, the potential reads the same
+    # bits, signed zeros and the infinity at the sqrtmap origin included
+    sys, pot = get_system(sys_id), get_potential(pot_id)
+    cs = [0.0, 0.5] + [float(v) for v in np.random.default_rng(41).random(40)]
+    array = pot.values(sys, np.asarray(cs)[:, None])
+    scalar = np.asarray([pot.value(sys, c) for c in cs])
+    assert scalar.tobytes() == array.tobytes()
+
+
 def test_birkhoff_sum_constant():
     sys = get_system("tripling")
-    pot = Potential("constant", c=0.4)
+    pot = Potential(c=0.4)
     assert maps.birkhoff_sum(pot, sys, circle(0.1), 5) == pytest.approx(2.0)
 
 

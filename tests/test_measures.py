@@ -21,8 +21,8 @@ from translocal.maps import (ZERO_POTENTIAL, birkhoff_sum, catalogue_ids,
 from translocal.measures import (ball_measure, bowen_ball_measure,
                                  brin_katok, certified_invariant, get_measure,
                                  local_pressure, translocal_local_pressure)
-from translocal.spaces import (SYMBOLIC, Ball, Metric, circle, interval,
-                               pinned_symbols, radius_pins, torus, word)
+from translocal.spaces import (Ball, circle, interval, pinned_symbols,
+                               radius_pins, torus, word)
 
 LOG3 = math.log(3.0)
 
@@ -352,8 +352,7 @@ def test_a_word_shorter_than_its_bowen_balls_is_refused():
     # whose own pins count in full for a word shorter than them
     sys, mu = get_system("fullshift:2"), get_measure("bernoulli:0.5,0.5")
     eps = DEFAULT_SCHEDULE.epsilons[-1]
-    pins = pinned_symbols(Ball(word([0] * 64), eps, closed=False),
-                          Metric(SYMBOLIC, alphabet=2))
+    pins = pinned_symbols(Ball(word([0] * 64), eps, closed=False))
     need = max(DEFAULT_SCHEDULE.n_values) - 1 + pins
     symbols = [0, 1] * need
     for short in ([0, 1, 0], [0, 1, 0, 1, 1, 0, 1], symbols[:need - 1]):
@@ -369,8 +368,7 @@ def test_a_word_shorter_than_its_plain_balls_is_refused():
     # however short the centre word: 7 symbols cannot price them
     sys, mu = get_system("fullshift:2"), get_measure("bernoulli:0.5,0.5")
     n_max = max(DEFAULT_SCHEDULE.n_values)
-    need = radius_pins(Ball(word([0] * 64), math.exp(-n_max)),
-                       Metric(SYMBOLIC, alphabet=2))
+    need = radius_pins(Ball(word([0] * 64), math.exp(-n_max)))
     assert need > 7
     with pytest.raises(ValueError, match=f"pin {need} symbols"):
         translocal_local_pressure(sys, mu, ZERO_POTENTIAL,

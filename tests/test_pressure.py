@@ -203,9 +203,9 @@ EXACT_BRANCHES = {
 
 def _branch_weight(pot, slope):
     """exp of the potential on a branch: 1, or 1/slope for geometric:1."""
-    if pot.kind == "zero":
+    if pot.t == 0.0 and pot.c == 0.0:
         return Fraction(1)
-    assert pot.kind == "geometric" and pot.t == 1.0
+    assert pot.c == 0.0 and pot.t == 1.0
     return Fraction(1, slope)
 
 

@@ -24,7 +24,7 @@ from translocal.maps import catalogue_ids, full_branch_slopes, get_system
 from translocal.measures import bowen_ball_measure, get_measure
 from translocal.separated import (exact_variation, exact_variations,
                                   separation_prefix_length)
-from translocal.spaces import (CIRCLE, INTERVAL, SYMBOLIC, Ball, Metric,
+from translocal.spaces import (BETA, CIRCLE, INTERVAL, Ball,
                                circle, interval, symbolic_grid, torus, word)
 from translocal.symbolic import (coded_language_count, get_family,
                                  language_membership)
@@ -386,9 +386,8 @@ def test_fullshift_cell_counts_the_grid_prefixes(k, data, closed, n, eps,
     center = word(data.draw(st.lists(st.integers(0, k - 1), max_size=6)))
     ball = Ball(center, radius, closed)
     logc = cell_log_count(get_system(f"fullshift:{k}"), ball, n, eps)
-    m = Metric(SYMBOLIC, alphabet=k)
-    plen = separation_prefix_length(n, eps, m.beta)
-    grid = symbolic_grid(ball, m.beta ** (-plen), m)
+    plen = separation_prefix_length(n, eps)
+    grid = symbolic_grid(ball, BETA ** (-plen), k)
     assert logc == math.log(len({w[:plen] for w in grid.words}))
 
 

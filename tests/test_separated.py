@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from translocal import separated
+from translocal.errors import HorizonExceededError
 from translocal.maps import get_system, iterate_system
 from translocal.separated import (SeparationQuery, bowen_distance,
-                                  exact_variation, pairwise_count,
+                                  exact_variation, exact_variations,
+                                  pairwise_count,
                                   separated_count, symbolic_word_count,
                                   variation_count)
 from translocal.spaces import Ball, circle, sample_grid, word
@@ -25,6 +27,18 @@ def test_exact_variation_full_circle_powers():
     for n in (2, 4, 6):
         assert exact_variation(sys, 0.0, 1.0, n) == pytest.approx(
             3.0 ** (n - 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("sys_id, n", [("staircase", 300),
+                                       ("pomeau-manneville", 1100),
+                                       ("tripling", 700)])
+def test_a_variation_beyond_the_float_range_is_refused(sys_id, n):
+    # a multiplicity past the float range (a walked table) or s^(n-1) past
+    # it (a one-slope map) raises HorizonExceededError naming the system and n
+    with pytest.raises(HorizonExceededError, match=f"'{sys_id}' at n = {n} "):
+        exact_variation(get_system(sys_id), 0.0, 1.0, n)
+    with pytest.raises(HorizonExceededError):
+        exact_variations(get_system(sys_id), 0.0, 1.0, (2, n, 3))
 
 
 def test_exact_variation_partial_interval():
