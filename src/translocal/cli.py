@@ -36,6 +36,17 @@ class ConfigError(Exception):
     pass
 
 
+# the keys of each config section: those `run_experiment` (with
+# `cmd_run`) and `parse_schedule` read
+CONFIG_KEYS = {
+    "experiment": frozenset({
+        "kind", "system", "point", "points", "omega", "potential", "measure",
+        "whole_space", "radius", "steps", "s_grid", "lengths", "family",
+        "out_csv", "out_json"}),
+    "schedule": frozenset({"n_min", "n_max", "epsilons"}),
+}
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
@@ -81,6 +92,16 @@ def load_config(path: str):
         raise ConfigError(f"cannot read config file {path!r}")
     if "experiment" not in cfg:
         raise ConfigError("missing [experiment] section")
+    # a misspelt or misplaced key would otherwise be ignored
+    if cfg.defaults():
+        raise ConfigError(f"unknown section [{cfg.default_section}]")
+    for section in cfg.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(
+                    f"unknown key {key!r} in section [{section}]")
     exp = cfg["experiment"]
     kind = exp.get("kind")
     if kind not in KINDS:

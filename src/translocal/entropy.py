@@ -20,23 +20,22 @@ eps at once, since a cell's image variation does not depend on eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, sub
 from typing import NamedTuple
 
 from . import separated
+from .errors import HorizonExceededError
 from .maps import System, int_matmul, log_derivative_sums
 from .separated import separation_prefix_length
-from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Point,
-                     pinned_symbols)
+from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Ball, Point, Record,
+                     init_field, pinned_symbols)
 
 DEFAULT_DELTAS = (0.04, 0.02, 0.01)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Finite surrogate for the simultaneous limits n -> inf, eps -> 0.
 
     Every cell is counted in closed form, so no estimator reads `budget`.
@@ -44,34 +43,43 @@ class Schedule:
     fields, as the benchmark pass runner builds it, still constructs.
     """
 
-    n_values: tuple = (6, 7, 8, 9, 10, 11, 12, 13, 14)
-    epsilons: tuple = (0.05, 0.02, 0.01)
-    budget: int = 5_000_000
+    __slots__ = _fields = ("n_values", "epsilons", "budget")
 
-    def __post_init__(self):
-        ns = self.n_values
+    def __init__(self, n_values: tuple = (6, 7, 8, 9, 10, 11, 12, 13, 14),
+                 epsilons: tuple = (0.05, 0.02, 0.01),
+                 budget: int = 5_000_000):
+        ns = n_values
         if any(n < 1 for n in ns) or any(a >= b for a, b in zip(ns, ns[1:])):
             raise ValueError("n_values must be strictly ascending and >= 1")
-        if list(self.epsilons) != sorted(self.epsilons, reverse=True):
+        if list(epsilons) != sorted(epsilons, reverse=True):
             raise ValueError("epsilons must be descending")
-        if self.budget <= 0:
+        if budget <= 0:
             raise ValueError("budget must be positive")
+        init_field(self, "n_values", n_values)
+        init_field(self, "epsilons", epsilons)
+        init_field(self, "budget", budget)
 
 
 DEFAULT_SCHEDULE = Schedule()
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """A growth-rate value with the window metadata that produced it."""
+class RateEstimate(Record):
+    """A growth-rate value with the window metadata that produced it; its
+    `kind` is "limsup" or "liminf"."""
 
-    value: float
-    n_window: tuple
-    eps: float | None
-    residual: float
-    kind: str                      # "limsup" | "liminf"
-    eps_trend: float | None = None
-    warning: str | None = None
+    __slots__ = _fields = ("value", "n_window", "eps", "residual", "kind",
+                           "eps_trend", "warning")
+
+    def __init__(self, value: float, n_window: tuple, eps: float | None,
+                 residual: float, kind: str, eps_trend: float | None = None,
+                 warning: str | None = None):
+        init_field(self, "value", value)
+        init_field(self, "n_window", n_window)
+        init_field(self, "eps", eps)
+        init_field(self, "residual", residual)
+        init_field(self, "kind", kind)
+        init_field(self, "eps_trend", eps_trend)
+        init_field(self, "warning", warning)
 
 
 def growth_rate(log_counts, mode: str = "limsup", clamp: bool = False,
@@ -256,9 +264,12 @@ def _log_counts_1d(sys: System, n: int, tv: float, whole: bool,
             return [math.log(max(int(tv / eps), 1)) for eps in epsilons]
         return [math.log(int(tv / eps) + 1) for eps in epsilons]
     except OverflowError:
-        from .errors import HorizonExceededError
-        raise HorizonExceededError(f"the separated count of {sys.name!r} at "
-                                   f"n = {n} passes the float range") from None
+        raise _past_float_range(sys, n) from None
+
+
+def _past_float_range(sys: System, n: int) -> HorizonExceededError:
+    return HorizonExceededError(f"the separated count of {sys.name!r} at "
+                                f"n = {n} passes the float range")
 
 
 def _toral_rows(sys: System, cells, epsilons) -> list[list]:
@@ -269,7 +280,8 @@ def _toral_rows(sys: System, cells, epsilons) -> list[list]:
     A^(n-1) v, so its sup-norm image variation is exactly
     2r * |A^(n-1) v|_inf and the count along it needs no samples.
     Contracting directions stop contributing separated points once the ball
-    outruns eps.
+    outruns eps.  A count beyond the float range raises
+    HorizonExceededError.
     """
     # powers[k] = A^k in exact integers, each from the one before
     powers = [tuple(tuple(int(i == j) for j in range(sys.dim))
@@ -279,15 +291,19 @@ def _toral_rows(sys: System, cells, epsilons) -> list[list]:
         radius = min(radius, 0.5)
         while len(powers) < n:
             powers.append(int_matmul(powers[-1], sys.matrix))
-        tvs = [2 * radius * max(abs(sum(p * x for p, x in zip(row, vec)))
-                                for row in powers[n - 1]) * (1.0 - 1e-12)
-               for vec in sys.expanding]
-        row = []
-        for eps in epsilons:
-            log_total = 0.0
-            for tv in tvs:
-                log_total += math.log(int(tv / eps) + 1)
-            row.append(log_total)
+        try:
+            tvs = [2 * radius * max(abs(sum(p * x for p, x in zip(row, vec)))
+                                    for row in powers[n - 1])
+                   * (1.0 - 1e-12)
+                   for vec in sys.expanding]
+            row = []
+            for eps in epsilons:
+                log_total = 0.0
+                for tv in tvs:
+                    log_total += math.log(int(tv / eps) + 1)
+                row.append(log_total)
+        except OverflowError:
+            raise _past_float_range(sys, n) from None
         rows.append(row)
     return rows
 

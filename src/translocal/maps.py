@@ -3,6 +3,7 @@
 Every system evaluates vectorized on coordinate arrays of shape (N, d).  A
 1D map is its monotone branch table (see `Branch`) and nothing else: its
 steps, log|f'|, kinks, `h_top` and `max_log_slope` are read off the table.
+Each catalogue map is built on its first request.
 Building the catalogue and every scalar path of a 1D map (the step, orbits,
 derivative and Birkhoff sums) use floats only; numpy is imported inside the
 functions that build or read arrays, so a process that takes only scalar
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from functools import cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (HorizonExceededError, SingularOrbitError,
                      SpaceMismatchError)
-from .spaces import CIRCLE, INTERVAL, SYMBOLIC, TORUS, Point
+from .spaces import (CIRCLE, INTERVAL, SYMBOLIC, TORUS, Point, Record,
+                     init_field)
 
 # the longest orbit any path steps
 HORIZON = 100_000
@@ -40,17 +42,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _derived(default=None):
-    return field(init=False, repr=False, compare=False, default=default)
+# a System's derived attributes, each with its value where no rule sets it
+_DERIVED = {"step": None, "step_many": None, "log_slope_many": None,
+            "cuts": (), "log_slopes": (), "singular_ends": (),
+            "uniform_slope": None, "h_top": None, "max_log_slope": None,
+            "spectrum": (), "expanding": ()}
 
 
-@dataclass(frozen=True)
-class System:
+class System(Record):
     """A catalogue dynamical system, given by its `branches` (1D, sorted by
     `lo`), its integer `matrix` (torus), its `alphabet` (full shift), or the
     `base` f and `power` r of a 1D iterate f^r with no table of its own.
 
-    The rest is derived.  `step_many` maps an (N, d) coordinate array one
+    The rest is derived, set once when it is built, and left out of its
+    repr, equality and hash.  `step_many` maps an (N, d) coordinate array one
     iterate forward, reduced into the phase space, `step` one 1D coordinate;
     `log_slope_many` gives log|f'|.  Of a table: `cuts` are the branch
     starts after the first; `log_slopes` is log|slope| per affine branch
@@ -65,35 +70,29 @@ class System:
     each a tuple of floats.
     """
 
-    name: str
-    space: str
-    matrix: tuple | None = None
-    alphabet: int | None = None
-    branches: tuple = ()
-    base: System | None = None
-    power: int = 1
-    step: Callable | None = _derived()
-    step_many: Callable | None = _derived()
-    log_slope_many: Callable | None = _derived()
-    cuts: tuple = _derived(())
-    log_slopes: tuple = _derived(())
-    singular_ends: tuple = _derived(())
-    uniform_slope: float | None = _derived()
-    h_top: float | None = _derived()
-    max_log_slope: float | None = _derived()
-    spectrum: tuple = _derived(())
-    expanding: tuple = _derived(())
+    _fields = ("name", "space", "matrix", "alphabet", "branches", "base",
+               "power")
+    __slots__ = _fields + tuple(_DERIVED)
 
-    def __post_init__(self):
-        rules = {"h_top": math.log(self.alphabet)} if self.alphabet else {}
-        if self.branches:
-            rules = _table_rules(self.branches, self.space)
-        elif self.base is not None:
-            rules = _iterate_rules(self.base, self.power)
-        elif self.matrix is not None:
-            rules = _torus_rules(self.matrix)
-        for name, value in rules.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, name: str, space: str, matrix: tuple | None = None,
+                 alphabet: int | None = None, branches: tuple = (),
+                 base: System | None = None, power: int = 1):
+        init_field(self, "name", name)
+        init_field(self, "space", space)
+        init_field(self, "matrix", matrix)
+        init_field(self, "alphabet", alphabet)
+        init_field(self, "branches", branches)
+        init_field(self, "base", base)
+        init_field(self, "power", power)
+        rules = {"h_top": math.log(alphabet)} if alphabet else {}
+        if branches:
+            rules = _table_rules(branches, space)
+        elif base is not None:
+            rules = _iterate_rules(base, power)
+        elif matrix is not None:
+            rules = _torus_rules(matrix)
+        for attr, default in _DERIVED.items():
+            init_field(self, attr, rules.get(attr, default))
 
     @property
     def dim(self) -> int:
@@ -302,21 +301,27 @@ def int_matmul(a, b) -> tuple:
 # sampling.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Record):
     """One monotone branch: `fn` maps [lo, hi] onto the interval `image`,
     on a float or elementwise on an array.  `slope` is fn's constant
     derivative when fn is affine; a curved branch has slope None, gives
     log|fn'| as `log_slope`, monotone on [lo, hi], and its one-sided values
     at (lo, hi) as `end_log_slopes`."""
 
-    lo: float
-    hi: float
-    fn: Callable
-    image: tuple
-    slope: float | None = None
-    log_slope: Callable | None = None
-    end_log_slopes: tuple = ()
+    __slots__ = _fields = ("lo", "hi", "fn", "image", "slope", "log_slope",
+                           "end_log_slopes")
+
+    def __init__(self, lo: float, hi: float, fn: Callable, image: tuple,
+                 slope: float | None = None,
+                 log_slope: Callable | None = None,
+                 end_log_slopes: tuple = ()):
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
+        init_field(self, "fn", fn)
+        init_field(self, "image", image)
+        init_field(self, "slope", slope)
+        init_field(self, "log_slope", log_slope)
+        init_field(self, "end_log_slopes", end_log_slopes)
 
 
 _UNIT = (0.0, 1.0)
@@ -458,34 +463,39 @@ def _staircase_branches() -> tuple:
     return tuple(out)
 
 
-def _catalogue() -> dict[str, System]:
-    systems = (
-        System("tripling", CIRCLE,
-               branches=(_affine(0.0, 1 / 3, 3.0, 0.0),
-                         _affine(1 / 3, 2 / 3, 3.0, -1.0),
-                         _affine(2 / 3, 1.0, 3.0, -2.0))),
-        System("g3branch", CIRCLE,
-               branches=(_affine(0.0, 0.5, 2.0, 0.0),
-                         _affine(0.5, 0.75, 4.0, -2.0),
-                         _affine(0.75, 1.0, 4.0, -3.0))),
-        System("pomeau-manneville", INTERVAL,
-               branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT,
-                                log_slope=_pomeau_manneville_log_slope,
-                                end_log_slopes=(0.0, 2.0 * math.log(2.0))),
-                         _affine(0.5, 1.0, 2.0, -1.0))),
-        System("sqrtmap", INTERVAL,
-               branches=(Branch(0.0, 0.5, lambda x: _sqrt(2.0 * x), _UNIT,
-                                log_slope=_sqrtmap_log_slope,
-                                end_log_slopes=(math.inf, 0.0)),
-                         _affine(0.5, 1.0, 2.0, -1.0))),
-        System("staircase", INTERVAL, branches=_staircase_branches()),
-        System("identity", CIRCLE,
-               branches=(Branch(0.0, 1.0, lambda x: x, _UNIT, 1.0),)),
-    )
-    return {sys.name: sys for sys in systems}
+# the catalogue maps, each built on its first request
+_CATALOGUE = {
+    "tripling": lambda: System(
+        "tripling", CIRCLE, branches=(_affine(0.0, 1 / 3, 3.0, 0.0),
+                                      _affine(1 / 3, 2 / 3, 3.0, -1.0),
+                                      _affine(2 / 3, 1.0, 3.0, -2.0))),
+    "g3branch": lambda: System(
+        "g3branch", CIRCLE, branches=(_affine(0.0, 0.5, 2.0, 0.0),
+                                      _affine(0.5, 0.75, 4.0, -2.0),
+                                      _affine(0.75, 1.0, 4.0, -3.0))),
+    "pomeau-manneville": lambda: System(
+        "pomeau-manneville", INTERVAL,
+        branches=(Branch(0.0, 0.5, lambda x: x / (1.0 - x), _UNIT,
+                         log_slope=_pomeau_manneville_log_slope,
+                         end_log_slopes=(0.0, 2.0 * math.log(2.0))),
+                  _affine(0.5, 1.0, 2.0, -1.0))),
+    "sqrtmap": lambda: System(
+        "sqrtmap", INTERVAL,
+        branches=(Branch(0.0, 0.5, lambda x: _sqrt(2.0 * x), _UNIT,
+                         log_slope=_sqrtmap_log_slope,
+                         end_log_slopes=(math.inf, 0.0)),
+                  _affine(0.5, 1.0, 2.0, -1.0))),
+    "staircase": lambda: System("staircase", INTERVAL,
+                                branches=_staircase_branches()),
+    "identity": lambda: System(
+        "identity", CIRCLE,
+        branches=(Branch(0.0, 1.0, lambda x: x, _UNIT, 1.0),)),
+}
 
 
-_CATALOGUE = _catalogue()
+@cache
+def _catalogued(name: str) -> System:
+    return _CATALOGUE[name]()
 
 
 def get_system(spec_id: str) -> System:
@@ -496,7 +506,7 @@ def get_system(spec_id: str) -> System:
     e.g. "toral:2,1;1,1" for the cat map.
     """
     if spec_id in _CATALOGUE:
-        return _CATALOGUE[spec_id]
+        return _catalogued(spec_id)
     if spec_id == "cat":
         return get_system("toral:2,1;1,1")
     if spec_id.startswith("toral:"):
@@ -613,13 +623,15 @@ def full_branch_slopes(sys: System) -> tuple | None:
 # Potentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Record):
     """The continuous potential c - t*log|f'|: zero, constant (t = 0) or
     geometric (c = 0), read as c or -t*log|f'| (0 - x would drop a -0.0)."""
 
-    c: float = 0.0
-    t: float = 0.0
+    __slots__ = _fields = ("c", "t")
+
+    def __init__(self, c: float = 0.0, t: float = 0.0):
+        init_field(self, "c", c)
+        init_field(self, "t", t)
 
     def values(self, sys: System, coords: np.ndarray) -> np.ndarray:
         import numpy as np

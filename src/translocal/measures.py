@@ -11,24 +11,27 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from . import separated, spaces
 from .entropy import DEFAULT_SCHEDULE, RateEstimate, Schedule, growth_rates
 from .errors import SpaceMismatchError
 from .maps import (Potential, System, ZERO_POTENTIAL, birkhoff_sums,
                    evaluate, full_branch_slopes, point_orbit)
-from .spaces import CIRCLE, SYMBOLIC, TORUS, Ball, Point, distance, radius_pins
+from .spaces import (CIRCLE, SYMBOLIC, TORUS, Ball, Point, Record, distance,
+                     init_field, radius_pins)
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Probability measure descriptor addressable by string id."""
+class Measure(Record):
+    """Probability measure descriptor addressable by string id; its
+    `variant` is lebesgue-circle, lebesgue-torus, bernoulli or dirac."""
 
-    variant: str                   # lebesgue-circle | lebesgue-torus |
-    #                                bernoulli | dirac
-    p: tuple = ()
-    atom: Point | None = None
+    __slots__ = _fields = ("variant", "p", "atom")
+
+    def __init__(self, variant: str, p: tuple = (),
+                 atom: Point | None = None):
+        init_field(self, "variant", variant)
+        init_field(self, "p", p)
+        init_field(self, "atom", atom)
 
     @property
     def space(self) -> str:

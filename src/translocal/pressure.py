@@ -45,7 +45,6 @@ defined one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import measures, spaces
@@ -53,7 +52,7 @@ from .entropy import (DEFAULT_SCHEDULE, Schedule, _require_distinct,
                       _window, _window_slope, growth_rate)
 from .errors import UnbracketedError
 from .maps import Potential, System, full_branch_slopes
-from .spaces import CIRCLE, INTERVAL, Ball, Point
+from .spaces import CIRCLE, INTERVAL, Ball, Point, Record, init_field
 
 _QUAD_POINTS = 4096
 _LEVELS = 5            # cover levels N .. N+4
@@ -66,15 +65,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Finite union of balls."""
 
-    balls: tuple = ()
+    __slots__ = _fields = ("balls",)
 
-    def __post_init__(self):
-        if not self.balls:
+    def __init__(self, balls: tuple = ()):
+        if not balls:
             raise ValueError("empty region")
+        init_field(self, "balls", balls)
 
     @property
     def space(self) -> str:
@@ -85,16 +84,22 @@ def whole_circle() -> Region:
     return Region(balls=(Ball(spaces.circle(0.0), 0.5),))
 
 
-@dataclass(frozen=True)
-class CoverWeight:
-    value: float
-    n_values: tuple                # the level of the cheapest cover
+class CoverWeight(Record):
+    """A cover weight, with `n_values` the level of the cheapest cover."""
+
+    __slots__ = _fields = ("value", "n_values")
+
+    def __init__(self, value: float, n_values: tuple):
+        init_field(self, "value", value)
+        init_field(self, "n_values", n_values)
 
 
-@dataclass(frozen=True)
-class CriticalExponent:
-    value: float
-    bracket: tuple
+class CriticalExponent(Record):
+    __slots__ = _fields = ("value", "bracket")
+
+    def __init__(self, value: float, bracket: tuple):
+        init_field(self, "value", value)
+        init_field(self, "bracket", bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +398,18 @@ def critical_exponent(sys: System, region: Region, pot: Potential,
 # Two-sided audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
-    passed: bool
-    pressure: float
-    bracket: tuple
-    sampled_upper: tuple
-    sampled_lower: tuple
-    tol: float
+class AuditReport(Record):
+    __slots__ = _fields = ("passed", "pressure", "bracket", "sampled_upper",
+                           "sampled_lower", "tol")
+
+    def __init__(self, passed: bool, pressure: float, bracket: tuple,
+                 sampled_upper: tuple, sampled_lower: tuple, tol: float):
+        init_field(self, "passed", passed)
+        init_field(self, "pressure", pressure)
+        init_field(self, "bracket", bracket)
+        init_field(self, "sampled_upper", sampled_upper)
+        init_field(self, "sampled_lower", sampled_lower)
+        init_field(self, "tol", tol)
 
     @property
     def max_upper(self) -> float:

@@ -20,13 +20,13 @@ Symbolic samples are counted exactly via distinct-prefix counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import spaces
 from .errors import HorizonExceededError, SpaceMismatchError
 from .maps import System, monotone_branches, orbit_coords
-from .spaces import BETA, CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Point
+from .spaces import (BETA, CIRCLE, INTERVAL, SYMBOLIC, TORUS, Grid, Point,
+                     Record, init_field)
 
 _PAIRWISE_LIMIT = 4000
 _BLOCK = 1 << 17
@@ -35,27 +35,32 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SeparationQuery:
-    system: System
-    sample: object            # Grid or list of Points
-    n: int
-    eps: float
-    strict: bool = True
+class SeparationQuery(Record):
+    __slots__ = _fields = ("system", "sample", "n", "eps", "strict")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, system: System, sample, n: int, eps: float,
+                 strict: bool = True):
+        # `sample` is a Grid or a list of Points
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.eps <= 0:
+        if eps <= 0:
             raise ValueError("eps must be positive")
+        init_field(self, "system", system)
+        init_field(self, "sample", sample)
+        init_field(self, "n", n)
+        init_field(self, "eps", eps)
+        init_field(self, "strict", strict)
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    count: int
-    method: str
-    orbit_evals: int
-    warning: str | None = None
+class SeparationResult(Record):
+    __slots__ = _fields = ("count", "method", "orbit_evals", "warning")
+
+    def __init__(self, count: int, method: str, orbit_evals: int,
+                 warning: str | None = None):
+        init_field(self, "count", count)
+        init_field(self, "method", method)
+        init_field(self, "orbit_evals", orbit_evals)
+        init_field(self, "warning", warning)
 
 
 def bowen_distance(sys: System, a: Point, b: Point, n: int) -> float:

@@ -8,11 +8,12 @@ the metric d(u, v) = BETA^(-m), m the first index where u and v disagree.
 The estimators count every cell in closed form and build no grid.  The
 deterministic grids (the same request always yields the same point list)
 are the sample sets of the reference counts in `translocal.separated`.
+
+`Record` is the immutable slotted base of every record of the library.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, SpaceMismatchError
@@ -33,18 +34,58 @@ POINT_BUDGET = 5_000_000
 # the decay base of the symbolic metric
 BETA = math.e
 
+# how a record's __init__ sets its fields, past the refusal below
+init_field = object.__setattr__
 
-@dataclass(frozen=True)
-class Point:
+
+class Record:
+    """An immutable record kept in `__slots__`.  Its `_fields`, in the
+    order its `__init__` takes them, give its repr, equality, hash and
+    pickled form; each subclass's `__init__` sets every slot once with
+    `init_field`."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(Record):
     """A point of one of the supported phase spaces.
 
     Numeric spaces use `coords`; symbolic points carry a finite word (their
     declared horizon is the word length).
     """
 
-    space: str
-    coords: tuple = ()
-    word: tuple = ()
+    __slots__ = _fields = ("space", "coords", "word")
+
+    def __init__(self, space: str, coords: tuple = (), word: tuple = ()):
+        init_field(self, "space", space)
+        init_field(self, "coords", coords)
+        init_field(self, "word", word)
 
 
 def circle(x: float) -> Point:
@@ -100,34 +141,39 @@ def distance(a: Point, b: Point) -> float:
     raise SpaceMismatchError(f"unknown space {space!r}")
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: Point
-    radius: float
-    closed: bool = True
+class Ball(Record):
+    __slots__ = _fields = ("center", "radius", "closed")
 
-    def __post_init__(self):
-        if self.radius <= 0:
+    def __init__(self, center: Point, radius: float, closed: bool = True):
+        if radius <= 0:
             raise ValueError("ball radius must be positive")
+        init_field(self, "center", center)
+        init_field(self, "radius", radius)
+        init_field(self, "closed", closed)
 
     def contains(self, p: Point) -> bool:
         d = distance(self.center, p)
         return d <= self.radius if self.closed else d < self.radius
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Deterministic finite surrogate for a ball.
 
     `coords` is an (N, d) float array for numeric spaces; `words` a list of
     symbol tuples for symbolic spaces.
     """
 
-    ball: Ball
-    resolution: float
-    coords: np.ndarray | None = None
-    words: tuple = ()
-    sorted_1d: bool = False
+    __slots__ = _fields = ("ball", "resolution", "coords", "words",
+                           "sorted_1d")
+
+    def __init__(self, ball: Ball, resolution: float,
+                 coords: np.ndarray | None = None, words: tuple = (),
+                 sorted_1d: bool = False):
+        init_field(self, "ball", ball)
+        init_field(self, "resolution", resolution)
+        init_field(self, "coords", coords)
+        init_field(self, "words", words)
+        init_field(self, "sorted_1d", sorted_1d)
 
     def __len__(self) -> int:
         if self.coords is not None:

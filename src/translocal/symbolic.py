@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, NoPositiveRootError
+from .spaces import Record, init_field
 
 _MAX_POSITIONS = 200_000
 # the code words of a gap-rule family that its language automaton holds
@@ -39,15 +39,19 @@ def binary_word(k: int) -> tuple:
     return tuple((idx >> (length - 1 - i)) & 1 for i in range(length))
 
 
-@dataclass(frozen=True)
-class CodeWordFamily:
-    """Gap rule for the code words C_k, or the explicit words."""
+class CodeWordFamily(Record):
+    """Gap rule for the code words C_k, or the explicit words; its `kind`
+    is factorial, linear, geometric or words."""
 
-    kind: str                      # factorial | linear | geometric | words
-    a: int = 1
-    b: int = 0
-    c: int = 1
-    explicit: tuple = ()
+    __slots__ = _fields = ("kind", "a", "b", "c", "explicit")
+
+    def __init__(self, kind: str, a: int = 1, b: int = 0, c: int = 1,
+                 explicit: tuple = ()):
+        init_field(self, "kind", kind)
+        init_field(self, "a", a)
+        init_field(self, "b", b)
+        init_field(self, "c", c)
+        init_field(self, "explicit", explicit)
 
     def gap(self, k: int) -> int:
         if self.kind == "factorial":
@@ -107,12 +111,15 @@ def get_family(spec_id: str) -> CodeWordFamily:
 # Kraft equation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KraftSolution:
-    h: float
-    residual: float
-    truncation_index: int
-    tail_bound: float
+class KraftSolution(Record):
+    __slots__ = _fields = ("h", "residual", "truncation_index", "tail_bound")
+
+    def __init__(self, h: float, residual: float, truncation_index: int,
+                 tail_bound: float):
+        init_field(self, "h", h)
+        init_field(self, "residual", residual)
+        init_field(self, "truncation_index", truncation_index)
+        init_field(self, "tail_bound", tail_bound)
 
 
 # exp(-x) is 0.0 in float for x beyond about 745

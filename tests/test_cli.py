@@ -1,7 +1,9 @@
 """Command-line entry points: configs, reports, and exit codes."""
 import csv
+import inspect
 import json
 import math
+import re
 
 import pytest
 
@@ -555,3 +557,37 @@ potential = 0
         (row,) = list(csv.DictReader(fh))
     assert float(row["expected"]) == math.log(3.0)
     assert json.loads(json_path.read_text())["max_rel_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[experiment]\nkind = translocal\nsystem = tripling\n"
+     "point = circle:0.3\nomgea = 2.0\n", "'omgea' in section [experiment]"),
+    ("[experiment]\nkind = translocal\nsystem = tripling\n"
+     "point = circle:0.3\nn_min = 20\n", "'n_min' in section [experiment]"),
+    ("[experiment]\nkind = kraft\nlengths = 1,2\n\n[schedule]\n"
+     "budget = 10\n", "'budget' in section [schedule]"),
+    ("[experiment]\nkind = kraft\nlengths = 1,2\n\n[schedul]\n"
+     "n_min = 3\n", "unknown section [schedul]"),
+    ("[DEFAULT]\nn_min = 3\n\n[experiment]\nkind = kraft\n"
+     "lengths = 1,2\n", "unknown section [DEFAULT]"),
+], ids=["misspelt", "misplaced", "budget", "section", "default"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, text, named):
+    # an unread key would otherwise be ignored and its default used
+    assert run_cli(["run", write_config(tmp_path / "bad.ini", text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert err.count("\n") == 1
+
+
+def test_config_keys_are_the_keys_the_runner_reads():
+    # every key literal `run_experiment`, `cmd_run` and `parse_schedule`
+    # read from a section proxy is in that section's table, and no other
+    found = {"experiment": set(), "schedule": set()}
+    for fn, proxy, section in ((cli.run_experiment, "exp", "experiment"),
+                               (cli.cmd_run, "exp", "experiment"),
+                               (cli.parse_schedule, "sec", "schedule")):
+        source = inspect.getsource(fn)
+        found[section] |= set(re.findall(
+            rf'{proxy}(?:\.get\w*\(|\[)\s*"(\w+)"', source))
+        found[section] |= set(re.findall(rf'"(\w+)" in {proxy}\b', source))
+    assert found == cli.CONFIG_KEYS

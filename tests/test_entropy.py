@@ -1,5 +1,4 @@
 """Growth-rate regression and the entropy estimators."""
-import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +12,10 @@ from translocal.entropy import (DEFAULT_SCHEDULE, RateEstimate, Schedule,
                                 growth_rates, lyapunov_exponent,
                                 restricted_entropy, toral_translocal,
                                 translocal_entropy, yz_entropy_function)
-from translocal.maps import get_system, iterate_system, log_derivative_sum
-from translocal.spaces import Ball, circle, interval, torus, word
+from translocal.maps import (System, get_system, iterate_system,
+                            log_derivative_sum)
+from translocal.spaces import (CIRCLE, TORUS, Ball, circle, interval, torus,
+                              word)
 
 LOG3 = math.log(3.0)
 
@@ -174,14 +175,14 @@ def test_nested_iterate_whole_circle_entropy():
 
 
 def test_1d_cell_without_branch_table_is_rejected():
-    tableless = dataclasses.replace(get_system("tripling"), branches=())
+    tableless = System("tripling", CIRCLE)
     with pytest.raises(ValueError):
         cell_log_count(tableless, Ball(circle(0.3), 0.1), 5, 0.01)
 
 
 def test_cell_without_an_exact_count_is_rejected():
     # a torus map with no integer matrix has no closed-form cell
-    matrixless = dataclasses.replace(get_system("cat"), matrix=None)
+    matrixless = System(get_system("cat").name, TORUS)
     with pytest.raises(ValueError):
         cell_log_counts(matrixless, Ball(torus(0.1, 0.2), 0.1), 5, (0.01,))
 
@@ -198,6 +199,17 @@ def test_a_count_beyond_the_float_range_is_refused():
     with pytest.raises(HorizonExceededError, match="'tripling' at n = 643 "):
         translocal_entropy(get_system("tripling"), circle(0.3), 0.0,
                            Schedule(tuple(range(630, 660))))
+    # a toral count: |A^733 v| / 0.01 is a float, |A^734 v| / 0.01 is not,
+    # and from n = 739 |A^(n-1) v| itself passes the float range
+    cat, ball = get_system("cat"), Ball(torus(0.1, 0.2), 0.5)
+    assert cell_log_counts(cat, ball, 733, (0.01,))
+    for n in (734, 739):
+        with pytest.raises(HorizonExceededError,
+                           match=f"'toral:2,1;1,1' at n = {n} "):
+            cell_log_counts(cat, ball, n, (0.01,))
+    with pytest.raises(HorizonExceededError, match="at n = 734 "):
+        translocal_entropy(cat, torus(0.1, 0.2), 0.0,
+                           Schedule(tuple(range(730, 745))))
 
 
 # whole circle, inside, split across 0 on either side, interval, an
@@ -291,7 +303,8 @@ def _ref_curves(sys, ball_for_n, sched):
 def _ref_trend(per_eps):
     final = per_eps[-1]
     trend = final.value - per_eps[-2].value if len(per_eps) > 1 else None
-    return dataclasses.replace(final, eps_trend=trend)
+    return RateEstimate(final.value, final.n_window, final.eps,
+                        final.residual, final.kind, trend, final.warning)
 
 
 def _ref_restricted(sys, region, sched):

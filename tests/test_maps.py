@@ -1,5 +1,4 @@
 """Catalogue map definitions, derivatives, iterates, and branch data."""
-import dataclasses
 import math
 import warnings
 
@@ -15,6 +14,12 @@ from translocal.maps import (STAIRCASE_LEVEL_CAP, Potential, evaluate,
 from translocal.spaces import circle, interval, torus, word
 
 LOG3 = math.log(3.0)
+
+
+def test_a_catalogue_map_is_built_once():
+    # each catalogue map is built on its first request and kept
+    for sys_id in ("tripling", "staircase"):
+        assert maps.get_system(sys_id) is maps.get_system(sys_id)
 
 
 def test_tripling_step():
@@ -329,7 +334,7 @@ def test_birkhoff_sums_step_one_orbit():
         calls.append(c)
         return base.step(c)
 
-    sys = dataclasses.replace(base)
+    sys = maps.System(base.name, base.space, branches=base.branches)
     object.__setattr__(sys, "step", step)
     pot = get_potential("geometric:0.7")
     n_values = (1, 3, 8, 9, 14)

@@ -1,5 +1,4 @@
 """Cover weights, critical exponents, and the two-sided audit."""
-import dataclasses
 import functools
 import math
 import sys
@@ -12,7 +11,8 @@ from hypothesis import strategies as st
 
 from translocal import pressure
 from translocal.errors import UnbracketedError
-from translocal.maps import ZERO_POTENTIAL, get_potential, get_system
+from translocal.maps import (ZERO_POTENTIAL, System, get_potential,
+                            get_system)
 from translocal.measures import get_measure
 from translocal.pressure import (Region, cover_weight, critical_exponent,
                                  ma_wen_audit, translocal_cover_weight,
@@ -386,7 +386,7 @@ def test_critical_exponent_steps_each_segment_once():
         calls.append(len(coords))
         return base.step_many(coords)
 
-    sys = dataclasses.replace(base)
+    sys = System(base.name, base.space, branches=base.branches)
     object.__setattr__(sys, "step_many", step_many)
     n_window = (3, 4, 5, 6, 7, 8)
     critical_exponent(sys, TWO_BALLS, ZERO_POTENTIAL, r=0.05,
